@@ -9,11 +9,11 @@ Two public surfaces:
 - :class:`ControlEnv`: a step/observe/act environment that pauses the
   simulation at controlled flows' window boundaries, yields
   :class:`~repro.telemetry.observe.Observation` snapshots and applies
-  :class:`Action` adjustments — deterministic, pure-dispatch, and
-  byte-identical to the uncontrolled run when every step is autopilot.
+  :class:`Action` adjustments — deterministic on every dispatch loop,
+  and byte-identical to the uncontrolled run when every step is autopilot.
 """
 
-from ..telemetry.observe import Observation, ObservationAssembler
+from ..telemetry.observe import Observation, ObservationAssembler, QueueHighWater
 from .env import Action, ControlEnv, EnvBridgePolicy
 from .external import ExternalPolicySender
 from .policies import (
@@ -36,6 +36,7 @@ __all__ = [
     "ExternalPolicySender",
     "Observation",
     "ObservationAssembler",
+    "QueueHighWater",
     "external_cc",
     "get_policy",
     "policy_names",

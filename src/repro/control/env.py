@@ -30,11 +30,12 @@ Mechanics
   mirroring the spec's protocol), so ``step(None)`` on every boundary
   reproduces the uncontrolled run **byte-for-byte** — the determinism
   tier asserts this.
-- The environment builds its simulator with ``native=False`` and sets
-  ``control_active``; the engine refuses to combine step boundaries with
-  the native core (whose event heap the pure loop cannot see).  The
-  validated and profiled loops are pure and honour ``request_stop``, so
-  ``validate=True`` / a profiler compose with control.
+- Every dispatch loop (native, pure, validated, profiled) honours
+  ``request_stop``, so the env runs on whichever one the simulator picks
+  and ``validate=True`` / ``REPRO_NATIVE=0`` give the same episode.
+  Workload completion stops the loop through the workload's own
+  completion latch (:meth:`~repro.workloads.incast.IncastWorkload.run_to_completion`),
+  not a per-event predicate.
 - Determinism: the env draws no randomness of its own; all stream draws
   happen at the same ``next_sequence`` offsets as the uncontrolled run.
   Two envs driven with the same action sequence produce identical
@@ -49,7 +50,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Union
 
 from ..net.topology import TopologyParams, topology_builder
 from ..sim.engine import Simulator
-from ..telemetry.observe import Observation, ObservationAssembler
+from ..telemetry.observe import Observation, ObservationAssembler, QueueHighWater
 from ..tcp.events import CCEvent
 from ..workloads.incast import IncastConfig, IncastWorkload
 from ..workloads.protocols import ProtocolSpec, spec_for
@@ -277,8 +278,7 @@ class ControlEnv:
     def reset(self) -> Observation:
         """Build a fresh simulation and run it to the first step boundary."""
         self.close()
-        sim = Simulator(seed=self.seed, validate=self.validate, native=False)
-        sim.control_active = True
+        sim = Simulator(seed=self.seed, validate=self.validate)
         self.sim = sim
         self._bridges = []
         self._bridge_by_flow = {}
@@ -293,8 +293,9 @@ class ControlEnv:
             n_flows=self.n_flows, n_rounds=self.rounds, **self.incast_overrides
         )
         self.workload = IncastWorkload(sim, tree, wrapped, config)
+        watcher = QueueHighWater(tree.bottleneck_port.queue)
         for bridge in self._bridges:
-            bridge.assembler.watch_queue(tree.bottleneck_port.queue)
+            bridge.assembler.watch(watcher)
         self.workload.start()
         self._started = True
         self._last_obs = self._advance()
@@ -388,16 +389,13 @@ class ControlEnv:
                     )
                 break
             before = sim.events_processed
-            sim.run(stop_when=self._finished, max_events=self.max_events)
+            wl.run_to_completion(max_events=self.max_events)
             if not self._pending and not wl.finished and sim.events_processed == before:
                 raise RuntimeError(
                     "simulation stalled before reaching a step boundary "
                     "(event queue drained or max_events exhausted)"
                 )
         return self._pending.popleft()
-
-    def _finished(self) -> bool:
-        return self.workload.finished
 
     def _apply(self, action: Action, flow: int) -> None:
         bridge = self._bridge_by_flow[flow]

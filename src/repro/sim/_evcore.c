@@ -217,14 +217,49 @@ EventCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     return (PyObject *)self;
 }
 
+/* Drop every pending light event.  The heap is detached before any
+ * reference is released, because releasing one can run arbitrary code
+ * (a finalizer) that pushes onto this core again. */
+static void
+core_drop_all(EventCore *self)
+{
+    LEntry *heap = self->heap;
+    Py_ssize_t n = self->size;
+    self->heap = NULL;
+    self->size = 0;
+    self->capacity = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        Py_DECREF(heap[i].cb);
+        Py_DECREF(heap[i].arg);
+    }
+    PyMem_Free(heap);
+}
+
+/* GC support: pending callbacks are usually bound methods of components
+ * that hold the Simulator, which holds this core — a cycle the collector
+ * must be able to see and break. */
+static int
+EventCore_traverse(EventCore *self, visitproc visit, void *arg)
+{
+    for (Py_ssize_t i = 0; i < self->size; i++) {
+        Py_VISIT(self->heap[i].cb);
+        Py_VISIT(self->heap[i].arg);
+    }
+    return 0;
+}
+
+static int
+EventCore_tp_clear(EventCore *self)
+{
+    core_drop_all(self);
+    return 0;
+}
+
 static void
 EventCore_dealloc(EventCore *self)
 {
-    for (Py_ssize_t i = 0; i < self->size; i++) {
-        Py_DECREF(self->heap[i].cb);
-        Py_DECREF(self->heap[i].arg);
-    }
-    PyMem_Free(self->heap);
+    PyObject_GC_UnTrack(self);
+    core_drop_all(self);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -267,11 +302,7 @@ EventCore_peek_time(EventCore *self, PyObject *Py_UNUSED(ignored))
 static PyObject *
 EventCore_clear(EventCore *self, PyObject *Py_UNUSED(ignored))
 {
-    for (Py_ssize_t i = 0; i < self->size; i++) {
-        Py_DECREF(self->heap[i].cb);
-        Py_DECREF(self->heap[i].arg);
-    }
-    self->size = 0;
+    core_drop_all(self);
     Py_RETURN_NONE;
 }
 
@@ -690,10 +721,13 @@ static PyTypeObject EventCoreType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "_evcore.EventCore",
     .tp_basicsize = sizeof(EventCore),
-    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "Native light-event heap + fused dispatch loop.",
     .tp_new = EventCore_new,
     .tp_dealloc = (destructor)EventCore_dealloc,
+    .tp_traverse = (traverseproc)EventCore_traverse,
+    .tp_clear = (inquiry)EventCore_tp_clear,
+    .tp_free = PyObject_GC_Del,
     .tp_methods = EventCore_methods,
     .tp_as_sequence = &EventCore_as_sequence,
 };

@@ -100,7 +100,6 @@ class Simulator:
         "_core",
         "push_light",
         "_stop",
-        "control_active",
     )
 
     def __init__(
@@ -123,9 +122,6 @@ class Simulator:
         self.pool = None
         self.flows = None
         self._stop = False
-        # Set by repro.control.ControlEnv while step boundaries are armed;
-        # pins dispatch to the pure Python loops (see run()).
-        self.control_active = False
         if validate is None:
             validate = _env_validate()
         if validate:
@@ -329,16 +325,6 @@ class Simulator:
         if self.profiler is not None:
             return self._run_profiled(until, max_events, stop_when)
         if self._core is not None:
-            if self.control_active:
-                # Mirror of the native/validate exclusion above: a control
-                # env relies on request_stop() step boundaries, and light
-                # events already live in the C core's heap, so silently
-                # falling back to the pure loop would drop them.  The env
-                # must build its Simulator with native=False.
-                raise SimulationError(
-                    "native dispatch cannot be combined with an attached "
-                    "ControlEnv; build the Simulator with native=False"
-                )
             return self._run_native(until, max_events, stop_when)
         queue = self.queue
         # The dispatch loop works on the queue's raw heap (same entry

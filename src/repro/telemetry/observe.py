@@ -14,8 +14,10 @@ uses:
   the bytes DCTCP itself counts);
 - the queue high-water mark rides the :class:`~repro.net.queues.DropTailQueue`
   ``on_enqueue`` channel, which both port send paths already test for
-  ``None`` per packet — chaining a closure there costs nothing when no
-  assembler is attached;
+  ``None`` per packet.  One :class:`QueueHighWater` observer per watched
+  queue serves every assembler watching it, so an enqueue costs one call
+  however many flows are controlled; each assembler's own window is
+  folded in only when some assembler takes a snapshot;
 - timeout taxonomy counts (FLoss-TO / LAck-TO) come from the flow's
   :class:`~repro.metrics.flowstats.FlowStats` record.
 
@@ -26,7 +28,7 @@ it never perturbs a simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..tcp.timeouts import TimeoutKind
 
@@ -70,39 +72,66 @@ class Observation:
     done: bool = False
 
 
+class QueueHighWater:
+    """The single ``on_enqueue`` observer on one watched queue.
+
+    Tracks the queue's occupancy peak since the last :meth:`fold` and
+    hands it to every registered assembler at the next fold, so each
+    assembler still sees the peak over its *own* window (the max over all
+    folds since its last snapshot) without a closure of its own on the
+    enqueue path.  Chains any previously installed ``on_enqueue``
+    observer, mirroring the telemetry hook registry's convention.
+    """
+
+    __slots__ = ("queue", "peak", "_prev", "_assemblers")
+
+    def __init__(self, queue: "DropTailQueue") -> None:
+        self.queue = queue
+        self.peak = queue.occupancy_bytes
+        self._prev = queue.on_enqueue
+        self._assemblers: List["ObservationAssembler"] = []
+        queue.on_enqueue = self._on_enqueue
+
+    def _on_enqueue(self, handle: int) -> None:
+        occupancy = self.queue.occupancy_bytes
+        if occupancy > self.peak:
+            self.peak = occupancy
+        if self._prev is not None:
+            self._prev(handle)
+
+    def fold(self) -> None:
+        """Fold the peak into every assembler's window and restart it."""
+        peak = self.peak
+        for assembler in self._assemblers:
+            if peak > assembler._highwater:
+                assembler._highwater = peak
+        self.peak = self.queue.occupancy_bytes
+
+
 class ObservationAssembler:
     """Builds :class:`Observation` records for one controlled flow.
 
     One assembler per controlled flow; the environment shares a single
-    watched queue across assemblers (each keeps its own high-water window
-    so observations for different flows don't steal each other's peaks).
+    :class:`QueueHighWater` across assemblers (each keeps its own
+    high-water window so observations for different flows don't steal
+    each other's peaks).
     """
 
-    __slots__ = ("_queue", "_highwater", "_step")
+    __slots__ = ("_watcher", "_highwater", "_step")
 
     def __init__(self) -> None:
-        self._queue: Optional["DropTailQueue"] = None
+        self._watcher: Optional[QueueHighWater] = None
         self._highwater = 0
         self._step = 0
 
-    def watch_queue(self, queue: "DropTailQueue") -> None:
-        """Track ``queue``'s occupancy peaks via its enqueue channel.
-
-        Chains any previously installed ``on_enqueue`` observer, mirroring
-        the telemetry hook registry's convention.
-        """
-        self._queue = queue
-        prev = queue.on_enqueue
-
-        def _on_enqueue(handle: int, _q=queue, _prev=prev) -> None:
-            occupancy = _q.occupancy_bytes
-            if occupancy > self._highwater:
-                self._highwater = occupancy
-            if _prev is not None:
-                _prev(handle)
-
-        queue.on_enqueue = _on_enqueue
-        self._highwater = queue.occupancy_bytes
+    def watch(self, watcher: QueueHighWater) -> None:
+        """Open this assembler's high-water window on ``watcher``'s queue."""
+        # Close the windows already open so peaks from before this call
+        # never reach this assembler.
+        watcher.fold()
+        watcher._assemblers.append(self)
+        self._watcher = watcher
+        self._highwater = watcher.queue.occupancy_bytes
 
     def snapshot(
         self,
@@ -113,6 +142,9 @@ class ObservationAssembler:
         done: bool = False,
     ) -> Observation:
         """Close the current window and emit its observation."""
+        watcher = self._watcher
+        if watcher is not None:
+            watcher.fold()
         stats = sender.stats
         srtt = sender.rtt.srtt_ns
         obs = Observation(
@@ -132,6 +164,5 @@ class ObservationAssembler:
             done=done,
         )
         self._step += 1
-        queue = self._queue
-        self._highwater = queue.occupancy_bytes if queue is not None else 0
+        self._highwater = watcher.queue.occupancy_bytes if watcher is not None else 0
         return obs

@@ -1,10 +1,11 @@
-"""The typed CC event protocol (repro.tcp.events) and its engine guard."""
+"""The typed CC event protocol (repro.tcp.events) and the request_stop step
+boundaries a control env relies on."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Simulator
 from repro.tcp.events import CC_ACK, CC_ACK_ECHO, CC_INC_ECHO, CC_RTO, CC_SEND, CCEvent
 
 
@@ -70,20 +71,9 @@ def test_external_policy_satisfies_the_event_surface():
         assert callable(getattr(ExternalPolicy, method))
 
 
-# -- engine guard (satellite: control vs native/profiler/checker) -------------------
-def test_native_dispatch_refuses_an_attached_control_env():
-    sim = Simulator(seed=1)
-    if sim._core is None:
-        pytest.skip("native event core unavailable in this environment")
-    sim.control_active = True
-    sim.schedule(10, lambda: None)
-    with pytest.raises(SimulationError, match="native"):
-        sim.run()
-
-
+# -- step boundaries: every pure loop honours request_stop --------------------------
 def test_pure_dispatch_honours_request_stop_under_control():
     sim = Simulator(seed=1, native=False)
-    sim.control_active = True
     seen = []
 
     def tick(i):
@@ -104,7 +94,6 @@ def test_profiled_dispatch_honours_request_stop_under_control():
     from repro.telemetry.profiler import EngineProfiler
 
     sim = Simulator(seed=1, profiler=EngineProfiler(), native=False)
-    sim.control_active = True
     seen = []
 
     def tick(i):
@@ -122,7 +111,6 @@ def test_profiled_dispatch_honours_request_stop_under_control():
 
 def test_validated_dispatch_honours_request_stop_under_control():
     sim = Simulator(seed=1, validate=True, native=False)
-    sim.control_active = True
     seen = []
 
     def tick(i):

@@ -11,9 +11,11 @@ import sys
 
 import pytest
 
-from repro.control import Action, ControlEnv
+from repro.control import Action, ControlEnv, ObservationAssembler, QueueHighWater
+from repro.control import env as env_module
 from repro.exec.executors import ParallelExecutor, SerialExecutor
 from repro.exec.scenario import ScenarioSpec, run_scenario
+from repro.sim import _native
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -184,9 +186,108 @@ def test_env_refuses_nothing_but_composes_with_validate():
     assert plain == validated
 
 
-def test_env_uses_pure_dispatch():
+def test_env_uses_native_dispatch_when_available():
     env = ControlEnv(n_flows=4, rounds=1, seed=1)
     env.reset()
-    assert env.sim._core is None
-    assert env.sim.control_active
+    assert env.sim.native is (_native.core_factory() is not None)
     env.close()
+
+
+def _throttle_agent(obs):
+    """Fires real actions: halve cwnd on heavy marking, pace each flow once."""
+    if obs.step == 3:
+        return Action(pacing_interval_ns=20_000)
+    if obs.marked_fraction > 0.5:
+        return Action(cwnd_scale=0.5)
+    return None
+
+
+def _recorded_episode(**kwargs):
+    env = ControlEnv(protocol="dctcp", n_flows=32, rounds=2, seed=1, **kwargs)
+    observations = [env.reset()]
+    while not observations[-1].done:
+        observations.append(env.step(_throttle_agent(observations[-1])))
+    record = ([vars(o) for o in observations], env.summary(), env.sim.events_processed)
+    env.close()
+    return record
+
+
+def test_throttling_episode_parity_native_pure_validated(monkeypatch):
+    """An episode whose actions actually fire is identical on every dispatch
+    loop: observation stream, summary and event count."""
+    every_8th = range(0, 32, 8)
+    native = _recorded_episode(controlled=every_8th)
+    validated = _recorded_episode(controlled=every_8th, validate=True)
+    monkeypatch.setenv(_native.NATIVE_ENV, "0")
+    pure = _recorded_episode(controlled=every_8th)
+    observations, _, _ = native
+    assert any(o["marked_fraction"] > 0.5 for o in observations)  # cwnd_scale fired
+    assert native == pure
+    assert native == validated
+
+
+# -- the shared queue watcher --------------------------------------------------------
+def test_one_queue_watcher_per_env_and_prior_observer_chained(monkeypatch):
+    from repro.net.topology import topology_builder
+
+    seen = []
+    record = seen.append
+    build = topology_builder("two-tier")
+
+    def build_with_observer(sim, topo):
+        tree = build(sim, topo)
+        tree.bottleneck_port.queue.on_enqueue = record
+        return tree
+
+    monkeypatch.setattr(env_module, "topology_builder", lambda name: build_with_observer)
+    env = ControlEnv(n_flows=64, rounds=1, seed=1, controlled=range(0, 64, 2))
+    env.reset()
+    queue = env.workload.tree.bottleneck_port.queue
+    watcher = queue.on_enqueue.__self__
+    assert isinstance(watcher, QueueHighWater)
+    assert len(watcher._assemblers) == 32
+    assert watcher._prev is record
+    while not env.step(None).done:
+        pass
+    assert len(seen) == queue.enqueued_packets > 0
+    env.close()
+
+
+def test_shared_watcher_highwater_matches_per_flow_chained_watchers(monkeypatch):
+    """One shared observer folded at snapshot() reports, flow by flow, the
+    same queue high-water sequence as one chained observer per flow."""
+
+    def highwaters(record):
+        observations, _, _ = record
+        return [(o["flow"], o["step"], o["queue_highwater_bytes"]) for o in observations]
+
+    shared = _recorded_episode(controlled=range(0, 32, 4))
+
+    class ChainedWindow:
+        """The pre-sharing layout: each assembler chains its own closure onto
+        on_enqueue and raises its own high-water mark on every enqueue."""
+
+        def __init__(self, assembler, queue):
+            self.queue = queue
+            prev = queue.on_enqueue
+
+            def on_enqueue(handle):
+                if queue.occupancy_bytes > assembler._highwater:
+                    assembler._highwater = queue.occupancy_bytes
+                if prev is not None:
+                    prev(handle)
+
+            queue.on_enqueue = on_enqueue
+
+        def fold(self):
+            pass
+
+    def chained_watch(self, watcher):
+        self._watcher = ChainedWindow(self, watcher.queue)
+        self._highwater = watcher.queue.occupancy_bytes
+
+    monkeypatch.setattr(ObservationAssembler, "watch", chained_watch)
+    chained = _recorded_episode(controlled=range(0, 32, 4))
+    assert any(hw for _, _, hw in highwaters(shared))
+    assert highwaters(shared) == highwaters(chained)
+    assert shared == chained

@@ -198,3 +198,48 @@ class TestDigestEquivalence:
         monkeypatch.setenv(_native.NATIVE_ENV, "0")
         pure = run_scenario(spec)
         assert result_digest(native) == result_digest(pure)
+
+
+# -- step boundaries and memory ------------------------------------------------------
+@requires_native
+def test_native_request_stop_then_resume_drains_the_rest():
+    """A control env pauses the native loop with request_stop() at every
+    step boundary; the next run() must clear the latch and pick up exactly
+    where the stop left off, across both heaps."""
+    sim = Simulator(seed=1, native=True)
+    seen = []
+
+    def tick(i):
+        seen.append(i)
+        if i == 2:
+            sim.request_stop()
+
+    for i in range(6):
+        if i % 2:
+            sim.schedule(10 * (i + 1), tick, i)
+        else:
+            sim.schedule_light(10 * (i + 1), tick, i)
+    assert sim.run() == 3
+    assert seen == [0, 1, 2] and sim.now == 30
+    assert sim.run() == 3
+    assert seen == [0, 1, 2, 3, 4, 5]
+    assert sim.events_processed == 6
+
+
+@requires_native
+def test_finished_native_simulation_is_collected():
+    """The C core is GC-tracked: pending light events hold bound methods of
+    components that point back at the Simulator, and that cycle must not
+    keep a finished simulation alive."""
+    import gc
+
+    from repro.exec.scenario import ScenarioSpec, run_scenario
+
+    def live_simulators():
+        return {id(o) for o in gc.get_objects() if isinstance(o, Simulator)}
+
+    gc.collect()
+    before = live_simulators()
+    run_scenario(ScenarioSpec.create("dctcp", 16, rounds=2, seed=1))
+    gc.collect()
+    assert not live_simulators() - before
