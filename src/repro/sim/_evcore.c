@@ -406,41 +406,39 @@ bump_processed(PyObject *sim, long long n)
     PyErr_Restore(type, value, tb);
 }
 
-/* run(sim, queue, until, limit, stop_when, noop, freelist_max, evtype)
+/* run(sim, queue, until, limit, noop, freelist_max, evtype)
  *
- * The dispatch loop.  Mirrors Simulator.run()'s batched pure-Python
+ * The dispatch loop.  Mirrors Simulator.run()'s per-event pure-Python
  * loop exactly: same head-scan semantics (skip cancelled carcasses,
- * re-file deferred reschedules), same stop-condition order after every
- * callback (_stop, then stop_when, then the event limit), same freelist
- * recycling.  The pure loop batches same-timestamp events purely to
- * amortize *interpreter* overhead; here the clock store is skipped when
- * the timestamp repeats, which is observably identical.
+ * re-file deferred reschedules), same stop conditions after every
+ * callback (_stop, then the event limit), same freelist recycling.  The
+ * clock store is skipped when the timestamp repeats, which is observably
+ * identical.
  *
  * Returns the number of events processed.
  */
 static PyObject *
 EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 8) {
+    if (nargs != 7) {
         PyErr_SetString(
             PyExc_TypeError,
-            "run expects (sim, queue, until, limit, stop_when, noop, freelist_max, evtype)");
+            "run expects (sim, queue, until, limit, noop, freelist_max, evtype)");
         return NULL;
     }
     PyObject *sim = args[0];
     PyObject *queue = args[1];
     PyObject *until_obj = args[2];
     long long limit = PyLong_AsLongLong(args[3]);
-    PyObject *stop_when = args[4];
-    PyObject *noop = args[5];
-    Py_ssize_t freelist_max = PyLong_AsSsize_t(args[6]);
+    PyObject *noop = args[4];
+    Py_ssize_t freelist_max = PyLong_AsSsize_t(args[5]);
     if (PyErr_Occurred())
         return NULL;
-    if (!PyType_Check(args[7])) {
+    if (!PyType_Check(args[6])) {
         PyErr_SetString(PyExc_TypeError, "evtype must be the Event class");
         return NULL;
     }
-    PyTypeObject *evtype = (PyTypeObject *)args[7];
+    PyTypeObject *evtype = (PyTypeObject *)args[6];
 
     int have_until = (until_obj != Py_None);
     long long until = 0;
@@ -449,8 +447,6 @@ EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
         if (until == -1 && PyErr_Occurred())
             return NULL;
     }
-    if (stop_when == Py_None)
-        stop_when = NULL;
 
     Offsets off;
     off.now = slot_offset(Py_TYPE(sim), str_now);
@@ -665,7 +661,7 @@ EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
         }
         processed += 1;
 
-        /* -- stop conditions, in the pure loop's order --------------- */
+        /* -- stop request, checked after every event as the pure loop does */
         PyObject *stop_owned;
         PyObject *stop_flag = field_get(sim, off.stop, str_stop, &stop_owned);
         if (stop_flag == NULL)
@@ -674,17 +670,6 @@ EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
         Py_XDECREF(stop_owned);
         if (stop)
             break;
-        if (stop_when != NULL) {
-            PyObject *verdict = PyObject_CallNoArgs(stop_when);
-            if (verdict == NULL)
-                goto error;
-            int truthy = PyObject_IsTrue(verdict);
-            Py_DECREF(verdict);
-            if (truthy < 0)
-                goto error;
-            if (truthy)
-                break;
-        }
     }
 
     Py_DECREF(heap);

@@ -7,14 +7,15 @@ pumps events with :meth:`Simulator.run`.
 
 The engine is deliberately tiny — all protocol behaviour lives in the
 components — so the hot loop is a ``pop -> callback`` cycle with no
-dispatch indirection.  :meth:`Simulator.run` fuses the peek/pop scan of
-:class:`~repro.sim.events.EventQueue` into one loop over the raw heap with
-``heapq`` bound to locals, and **batches same-timestamp dispatch**: once
-the head event's time is established, every consecutive event at that
-time is drained in one inner loop, so the clock store, the ``until``
-bound and the head-of-heap rescan are paid once per distinct timestamp
-instead of once per event (packet-level simulations tie heavily — fan-in
-arrivals, ACK bursts, zero-delay control packets).
+dispatch indirection.  There are two dispatch paths: the C event core
+(``_evcore.c``, the default when it builds) and :meth:`Simulator.run`'s
+pure-Python loop, which is the fallback without a C toolchain and the
+reference the native core is held to.  The pure loop fuses the peek/pop
+scan of :class:`~repro.sim.events.EventQueue` into one per-event loop over
+the raw heap with ``heapq`` bound to locals.  Instrumentation (the
+invariant checker, the engine profiler) rides on that same loop through
+one optional per-event *dispatch probe*, resolved once at construction
+and ``None`` on the plain path.
 
 The simulator also owns the struct-of-arrays stores the components share:
 ``sim.pool`` (the :class:`~repro.net.pool.PacketPool` packet flyweights)
@@ -35,6 +36,7 @@ import gc
 import os
 from heapq import heappop, heappush, heapreplace
 from sys import maxsize
+from time import perf_counter
 from typing import Callable, Optional
 
 from ._native import core_factory
@@ -62,19 +64,23 @@ class Simulator:
         Master seed for the per-component RNG registry.
     validate:
         Attach a :class:`repro.validate.InvariantChecker` that components
-        register with at construction and that the (separate, slower)
-        validated dispatch loop sweeps while running.  ``None`` (default)
-        consults the ``REPRO_VALIDATE`` environment variable; ``False``
-        leaves ``checker`` as ``None`` and the hot path untouched.
+        register with at construction and that the dispatch probe sweeps
+        while running.  ``None`` (default) consults the ``REPRO_VALIDATE``
+        environment variable; ``False`` leaves ``checker`` as ``None``.
     tracer:
         Attach a :class:`repro.telemetry.Tracer` recording typed event
         records from the component hook points.  The tracer schedules no
         events, so event counts and digests match untraced runs exactly.
     profiler:
-        Attach a :class:`repro.telemetry.EngineProfiler`; dispatch then
-        runs through a (slower) timing loop attributing wall time per
-        callback kind.  Ignored while a checker is attached (the validated
-        loop takes priority).
+        Attach a :class:`repro.telemetry.EngineProfiler`; the dispatch probe
+        then times every callback and attributes it per callback kind.
+        With a checker attached too, the checker's probe wraps the
+        profiler's, so both see every event.
+    native:
+        Dispatch through the C event core.  ``None`` (default) uses it when
+        it builds and neither a checker nor a profiler is attached; both
+        pin the simulator to the pure loop, since they observe dispatch
+        through its probe.
 
     ``checker`` and ``tracer`` both observe the simulation through one
     :class:`repro.telemetry.HookRegistry` (``self.hooks``); components
@@ -93,12 +99,12 @@ class Simulator:
         "hooks",
         "pool",
         "flows",
-        "_running",
         "events_processed",
         "_sequence",
         "_packet_seq",
         "_core",
         "push_light",
+        "_probe",
         "_stop",
     )
 
@@ -113,7 +119,6 @@ class Simulator:
         self.now: int = 0
         self.queue = EventQueue()
         self.rng = RngRegistry(seed)
-        self._running = False
         self.events_processed: int = 0
         self._sequence = 0
         self._packet_seq = 0
@@ -124,6 +129,8 @@ class Simulator:
         self._stop = False
         if validate is None:
             validate = _env_validate()
+        self.tracer = tracer
+        self.profiler = profiler
         if validate:
             # Imported lazily: the validate layer is optional and the
             # common (disabled) path must not pay for it.
@@ -132,8 +139,16 @@ class Simulator:
             self.checker = InvariantChecker(self)
         else:
             self.checker = None
-        self.tracer = tracer
-        self.profiler = profiler
+        # The per-event dispatch probe: `probe(time, callback, args)` runs
+        # the callback on the pure loop's behalf.  The checker's wraps the
+        # profiler's, so one call per event serves both.
+        if self.checker is not None:
+            probe = self.checker.dispatch
+        elif profiler is not None:
+            probe = profiler.dispatch
+        else:
+            probe = None
+        self._probe = probe
         if tracer is not None or self.checker is not None:
             # One fan-out point for every observer; lazy import keeps the
             # unobserved path free of the telemetry layer entirely.
@@ -150,13 +165,12 @@ class Simulator:
             self.hooks = None
         # Native event core (see repro/sim/_evcore.c): owns the light-event
         # heap, the global sequence counter, and the dispatch loop.  The
-        # mode is fixed here, once — the validated and profiled loops are
-        # the ground truth the native loop is measured against, so a
-        # checker or profiler always pins the simulator to pure Python.
+        # mode is fixed here, once — the probe only exists on the pure loop,
+        # so a checker or profiler always pins the simulator to it.
         core = None
         if native is None:
-            native = self.checker is None and profiler is None
-        elif native and (self.checker is not None or profiler is not None):
+            native = probe is None
+        elif native and probe is not None:
             raise SimulationError("native dispatch cannot be combined with validate/profiler")
         if native:
             factory = core_factory()
@@ -198,41 +212,11 @@ class Simulator:
         return self._packet_seq
 
     # -- scheduling -----------------------------------------------------------
-    def _push_event(self, time: int, callback: Callable[..., None], args: tuple) -> Event:
-        # Mirrors EventQueue.push, inlined: this runs for every regular
-        # event and the queue-level call frame is measurable at that rate.
-        # Any change to the push protocol must be made in both places.
-        queue = self.queue
-        core = self._core
-        if core is None:
-            seq = queue._seq
-            queue._seq = seq + 1
-        else:
-            # The native core owns the simulation-wide sequence counter so
-            # light events (filed in its C heap) and regular events (filed
-            # here) share one totally ordered (time, seq) stream.
-            seq = core.take_seq()
-        free = queue._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.deadline = time
-            ev._dseq = seq
-            ev.callback = callback
-            ev.args = args
-            ev.cancelled = False
-        else:
-            ev = Event(time, seq, callback, args)
-        queue._live += 1
-        heappush(queue._heap, (time, seq, ev))
-        return ev
-
     def schedule(self, delay: int, callback: Callable[..., None], *args) -> Event:
         """Run ``callback(*args)`` after ``delay`` ns of simulated time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
-        return self._push_event(self.now + delay, callback, args)
+        return self.queue.push(self.now + delay, callback, args)
 
     def _push_light_py(self, time: int, callback: Callable[[int], None], arg: int) -> None:
         # Pure-Python implementation behind `push_light` (native mode binds
@@ -267,7 +251,7 @@ class Simulator:
         """Run ``callback(*args)`` at absolute simulated ``time``."""
         if time < self.now:
             raise SimulationError(f"cannot schedule at t={time} before current time t={self.now}")
-        return self._push_event(time, callback, args)
+        return self.queue.push(time, callback, args)
 
     def reschedule(
         self, event: Optional[Event], delay: int, callback: Callable[..., None], *args
@@ -292,19 +276,14 @@ class Simulator:
         """Stop :meth:`run` after the currently executing event completes.
 
         Called from inside event callbacks by workload drivers when their
-        completion condition is reached; cheaper than a per-event
-        ``stop_when`` predicate because the loop only tests a flag.
+        completion condition is reached; the loop tests the flag after
+        every event.
         """
         self._stop = True
 
     # -- execution -------------------------------------------------------------
-    def run(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> int:
-        """Process events in timestamp order.
+    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
+        """Process events in ``(time, seq)`` order.
 
         Parameters
         ----------
@@ -313,128 +292,94 @@ class Simulator:
             are left in the queue and the clock is advanced to ``until``.
         max_events:
             Safety valve for runaway simulations (mainly used by tests).
-        stop_when:
-            Predicate checked after each event; the loop stops when it
-            returns True (used by experiment drivers to stop at workload
-            completion without draining idle timers).
 
-        Returns the number of events processed in this call.
+        The run also ends after the event during which a callback called
+        :meth:`request_stop`.  Returns the number of events processed in
+        this call.
         """
-        if self.checker is not None:
-            return self._run_validated(until, max_events, stop_when)
-        if self.profiler is not None:
-            return self._run_profiled(until, max_events, stop_when)
         if self._core is not None:
-            return self._run_native(until, max_events, stop_when)
+            return self._run_native(until, max_events)
         queue = self.queue
-        # The dispatch loop works on the queue's raw heap (same entry
-        # layout as EventQueue.pop) so each event costs one tuple unpack
-        # instead of two method calls; heapq functions and the freelist
-        # are bound to locals for the same reason.
+        # The loop works on the queue's raw heap (same entry layout as
+        # EventQueue.pop) so each event costs one tuple unpack instead of
+        # two method calls; heapq functions and the freelist are bound to
+        # locals for the same reason.
         heap = queue._heap
         free = queue._free
         free_append = free.append
+        probe = self._probe
+        profiler = self.profiler
         limit = maxsize if max_events is None else max_events
+        bound = maxsize if until is None else until
         processed = 0
-        self._running = True
         self._stop = False
+        if profiler is not None:
+            wall_started = perf_counter()
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            running = True
-            while running and processed < limit:
-                # Establish the next live head event (skipping cancelled
-                # carcasses, re-filing deferred reschedules).  Light
-                # entries — bare (time, seq, callback, arg) tuples, see
-                # Simulator.schedule_light — are always live, so they
-                # skip every check.
-                ev = None
-                while heap:
-                    entry = heap[0]
-                    ev = entry[2]
-                    ev_time = entry[0]
-                    if ev.__class__ is Event:
-                        if ev.cancelled:
-                            heappop(heap)
-                            if len(free) < FREELIST_MAX:
-                                free_append(ev)
-                            ev = None
-                            continue
-                        deadline = ev.deadline
-                        if deadline > ev_time:
-                            # Stale slot from a reschedule: re-file at the
-                            # true deadline.
-                            ev.time = deadline
-                            ev.seq = ev._dseq
-                            heapreplace(heap, (deadline, ev._dseq, ev))
-                            ev = None
-                            continue
-                    break
-                if ev is None:
-                    break
-                if until is not None and ev_time > until:
+            while processed < limit and heap:
+                entry = heap[0]
+                ev = entry[2]
+                ev_time = entry[0]
+                # Light entries — bare (time, seq, callback, arg) tuples, see
+                # schedule_light — are always live and skip these checks.
+                if ev.__class__ is Event:
+                    if ev.cancelled:
+                        heappop(heap)
+                        if len(free) < FREELIST_MAX:
+                            free_append(ev)
+                        continue
+                    deadline = ev.deadline
+                    if deadline > ev_time:
+                        # Stale slot from a reschedule: re-file at the true
+                        # deadline.
+                        ev.time = deadline
+                        ev.seq = ev._dseq
+                        heapreplace(heap, (deadline, ev._dseq, ev))
+                        continue
+                if ev_time > bound:
                     self.now = until
                     break
+                heappop(heap)
+                queue._live -= 1
                 self.now = ev_time
-                # Same-timestamp batch: every consecutive live event at
-                # ev_time dispatches here without re-checking `until` or
-                # re-storing the clock.  Events scheduled *during* the
-                # batch with zero delay land at ev_time with higher seq
-                # and are picked up by the same loop, preserving exact
-                # (time, seq) order.
-                while True:
-                    heappop(heap)
-                    queue._live -= 1
-                    if ev.__class__ is Event:
-                        ev.deadline = -1  # fired: no longer pending
+                if ev.__class__ is Event:
+                    ev.deadline = -1  # fired: no longer pending
+                    if probe is None:
                         ev.callback(*ev.args)
-                        # Recycle the fired event.  Safe because handles
-                        # are single-use: every component that stores one
-                        # clears or overwrites its reference inside the
-                        # callback (and cancel/reschedule on a fired
-                        # handle are no-ops), so nothing can reach `ev`
-                        # once its callback has run.
-                        if len(free) < FREELIST_MAX:
-                            ev.callback = _noop
-                            ev.args = ()
-                            free_append(ev)
                     else:
-                        ev(entry[3])
-                    processed += 1
-                    if (
-                        self._stop
-                        or (stop_when is not None and stop_when())
-                        or processed >= limit
-                    ):
-                        running = False
-                        break
-                    if not heap:
-                        break
-                    entry = heap[0]
-                    if entry[0] != ev_time:
-                        break
-                    ev = entry[2]
-                    if ev.__class__ is Event and (ev.cancelled or ev.deadline > ev_time):
-                        # Rare in-batch carcass/deferral: fall back to the
-                        # outer scan, which re-enters the batch if more
-                        # live events remain at this timestamp.
-                        break
+                        probe(ev_time, ev.callback, ev.args)
+                    # Recycle the fired event.  Safe because handles are
+                    # single-use: every component that stores one clears or
+                    # overwrites its reference inside the callback (and
+                    # cancel/reschedule on a fired handle are no-ops), so
+                    # nothing can reach `ev` once its callback has run.
+                    if len(free) < FREELIST_MAX:
+                        ev.callback = _noop
+                        ev.args = ()
+                        free_append(ev)
+                elif probe is None:
+                    ev(entry[3])
+                else:
+                    probe(ev_time, ev, (entry[3],))
+                processed += 1
+                if self._stop:
+                    break
         finally:
             if gc_was_enabled:
                 gc.enable()
-            self._running = False
             self.events_processed += processed
+            if profiler is not None:
+                profiler.record_run(processed, perf_counter() - wall_started)
+        if self.checker is not None:
+            self.checker.sweep()
         if until is not None and self.now < until and queue.peek_time() is None:
             self.now = until
         return processed
 
-    def _run_native(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> int:
+    def _run_native(self, until: Optional[int], max_events: Optional[int]) -> int:
         """Dispatch through the C event core (see ``_evcore.c``).
 
         Semantically identical to :meth:`run` — same (time, seq) dispatch
@@ -445,214 +390,21 @@ class Simulator:
         core = self._core
         queue = self.queue
         limit = maxsize if max_events is None else max_events
-        self._running = True
         self._stop = False
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            processed = core.run(
-                self, queue, until, limit, stop_when, _noop, FREELIST_MAX, Event
-            )
+            processed = core.run(self, queue, until, limit, _noop, FREELIST_MAX, Event)
         finally:
             if gc_was_enabled:
                 gc.enable()
-            self._running = False
         if (
             until is not None
             and self.now < until
             and len(core) == 0
             and queue.peek_time() is None
         ):
-            self.now = until
-        return processed
-
-    def _run_validated(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> int:
-        """Dispatch loop used when an :class:`InvariantChecker` is attached.
-
-        Semantically identical to :meth:`run` — same ordering, same stop
-        conditions, same ``events_processed`` accounting — but it asserts
-        monotone non-decreasing dispatch timestamps and sweeps the checker
-        inline every ``checker.sweep_every`` events.  Sweeps are *not*
-        scheduled events, so event counts and digests match unvalidated
-        runs exactly.  Fired events are not recycled to the freelist here;
-        the only difference is object identity, which no component can
-        observe (handles are single-use).  Dispatch stays strictly
-        per-event (no batching) so ``check_dispatch_time`` sees every
-        event — the checker is the ground truth the batched loop is
-        measured against.
-        """
-        queue = self.queue
-        heap = queue._heap
-        checker = self.checker
-        sweep_every = checker.sweep_every
-        since_sweep = 0
-        processed = 0
-        self._running = True
-        self._stop = False
-        try:
-            while True:
-                if max_events is not None and processed >= max_events:
-                    break
-                ev = None
-                while heap:
-                    entry = heap[0]
-                    ev = entry[2]
-                    ev_time = entry[0]
-                    if ev.__class__ is Event:
-                        if ev.cancelled:
-                            heappop(heap)
-                            ev = None
-                            continue
-                        deadline = ev.deadline
-                        if deadline > ev_time:
-                            ev.time = deadline
-                            ev.seq = ev._dseq
-                            heapreplace(heap, (deadline, ev._dseq, ev))
-                            ev = None
-                            continue
-                    break
-                if ev is None:
-                    break
-                if until is not None and ev_time > until:
-                    self.now = until
-                    break
-                checker.check_dispatch_time(ev_time)
-                heappop(heap)
-                queue._live -= 1
-                self.now = ev_time
-                if ev.__class__ is Event:
-                    ev.deadline = -1
-                    ev.callback(*ev.args)
-                else:
-                    ev(entry[3])
-                processed += 1
-                since_sweep += 1
-                if since_sweep >= sweep_every:
-                    since_sweep = 0
-                    checker.sweep()
-                if self._stop:
-                    break
-                if stop_when is not None and stop_when():
-                    break
-        finally:
-            self._running = False
-            self.events_processed += processed
-        checker.sweep()
-        if until is not None and self.now < until and queue.peek_time() is None:
-            self.now = until
-        return processed
-
-    def _run_profiled(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> int:
-        """Dispatch loop used when an :class:`EngineProfiler` is attached.
-
-        Semantically identical to :meth:`run` — same ordering, same batched
-        same-timestamp dispatch, same stop conditions, same freelist
-        recycling, same ``events_processed`` accounting — but each callback
-        is timed and attributed to its ``__qualname__``, and each
-        same-timestamp batch's size is attributed to every kind dispatched
-        inside it (so the profiler can report per-event-type batch sizes).
-        The timing itself perturbs nothing the simulation can observe.
-        """
-        from time import perf_counter
-
-        queue = self.queue
-        heap = queue._heap
-        free = queue._free
-        free_append = free.append
-        profiler = self.profiler
-        counts = profiler.counts
-        times = profiler.times_s
-        batch_kinds: list = []
-        limit = maxsize if max_events is None else max_events
-        processed = 0
-        self._running = True
-        self._stop = False
-        wall_started = perf_counter()
-        try:
-            running = True
-            while running and processed < limit:
-                ev = None
-                while heap:
-                    entry = heap[0]
-                    ev = entry[2]
-                    ev_time = entry[0]
-                    if ev.__class__ is Event:
-                        if ev.cancelled:
-                            heappop(heap)
-                            if len(free) < FREELIST_MAX:
-                                free_append(ev)
-                            ev = None
-                            continue
-                        deadline = ev.deadline
-                        if deadline > ev_time:
-                            ev.time = deadline
-                            ev.seq = ev._dseq
-                            heapreplace(heap, (deadline, ev._dseq, ev))
-                            ev = None
-                            continue
-                    break
-                if ev is None:
-                    break
-                if until is not None and ev_time > until:
-                    self.now = until
-                    break
-                self.now = ev_time
-                del batch_kinds[:]
-                while True:
-                    heappop(heap)
-                    queue._live -= 1
-                    if ev.__class__ is Event:
-                        ev.deadline = -1
-                        callback = ev.callback
-                        started = perf_counter()
-                        callback(*ev.args)
-                        elapsed = perf_counter() - started
-                        if len(free) < FREELIST_MAX:
-                            ev.callback = _noop
-                            ev.args = ()
-                            free_append(ev)
-                    else:
-                        callback = ev
-                        started = perf_counter()
-                        callback(entry[3])
-                        elapsed = perf_counter() - started
-                    kind = getattr(callback, "__qualname__", None) or type(callback).__name__
-                    counts[kind] = counts.get(kind, 0) + 1
-                    times[kind] = times.get(kind, 0.0) + elapsed
-                    batch_kinds.append(kind)
-                    processed += 1
-                    if (
-                        self._stop
-                        or (stop_when is not None and stop_when())
-                        or processed >= limit
-                    ):
-                        running = False
-                        break
-                    if not heap:
-                        break
-                    entry = heap[0]
-                    if entry[0] != ev_time:
-                        break
-                    ev = entry[2]
-                    if ev.__class__ is Event and (ev.cancelled or ev.deadline > ev_time):
-                        break
-                profiler.record_batch(batch_kinds)
-        finally:
-            self._running = False
-            self.events_processed += processed
-            profiler.record_run(processed, perf_counter() - wall_started)
-        if until is not None and self.now < until and queue.peek_time() is None:
             self.now = until
         return processed
 

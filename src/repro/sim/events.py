@@ -36,7 +36,7 @@ one timestamp) is bit-for-bit identical to the naive implementation.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush, heapreplace
 from typing import Any, Callable, List, Optional, Tuple
 
 #: Recycled-event pool cap; enough to absorb timer churn bursts without
@@ -140,7 +140,7 @@ class EventQueue:
         else:
             ev = Event(time, seq, callback, args)
         self._live += 1
-        heapq.heappush(self._heap, (time, seq, ev))
+        heappush(self._heap, (time, seq, ev))
         return ev
 
     def reschedule(
@@ -154,14 +154,17 @@ class EventQueue:
 
         Equivalent to ``cancel(event); push(time, ...)`` but with zero heap
         traffic in the common case (``event`` still pending and the new
-        deadline not earlier than its current heap slot).  Always returns
-        the live handle, which may or may not be ``event`` itself.
+        deadline later than its current heap slot).  A deadline equal to
+        the slot's time takes the cancel-and-push path, because only a
+        later deadline re-files the entry under its new sequence number.
+        Always returns the live handle, which may or may not be ``event``
+        itself.
         """
         if (
             event is not None
             and not event.cancelled
             and event.deadline >= 0
-            and event.time <= time
+            and event.time < time
         ):
             event.deadline = time
             core = self._core
@@ -197,13 +200,13 @@ class EventQueue:
             entry = heap[0]
             time, _seq, ev = entry[:3]
             if ev.__class__ is not Event:
-                heapq.heappop(heap)
+                heappop(heap)
                 self._live -= 1
                 fired = Event(time, _seq, ev, (entry[3],))
                 fired.deadline = -1  # fired: no longer pending
                 return fired
             if ev.cancelled:
-                heapq.heappop(heap)
+                heappop(heap)
                 if len(free) < FREELIST_MAX:
                     free.append(ev)
                 continue
@@ -212,9 +215,9 @@ class EventQueue:
                 # Stale slot from a reschedule: re-file at the true deadline.
                 ev.time = deadline
                 ev.seq = ev._dseq
-                heapq.heapreplace(heap, (deadline, ev._dseq, ev))
+                heapreplace(heap, (deadline, ev._dseq, ev))
                 continue
-            heapq.heappop(heap)
+            heappop(heap)
             ev.deadline = -1  # fired: no longer pending
             self._live -= 1
             return ev
@@ -231,7 +234,7 @@ class EventQueue:
             if ev.__class__ is not Event:
                 return time  # light entries are always live
             if ev.cancelled:
-                heapq.heappop(heap)
+                heappop(heap)
                 if len(free) < FREELIST_MAX:
                     free.append(ev)
                 continue
@@ -239,7 +242,7 @@ class EventQueue:
             if deadline > time:
                 ev.time = deadline
                 ev.seq = ev._dseq
-                heapq.heapreplace(heap, (deadline, ev._dseq, ev))
+                heapreplace(heap, (deadline, ev._dseq, ev))
                 continue
             return time
         return None

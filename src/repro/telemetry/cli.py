@@ -93,7 +93,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     profiler = EngineProfiler() if args.profile else None
     if profiler is not None:
-        # The profiled dispatch loop is serial-only by nature (it times the
+        # The profiling probe is serial-only by nature (it times the
         # local engine), so bypass the executor when profiling.
         result = run_scenario(spec, profiler=profiler)
     else:

@@ -9,10 +9,10 @@ Two entry points:
 
 - :class:`InvariantChecker` — attached via ``Simulator(validate=True)``
   (or ``REPRO_VALIDATE=1``); components register themselves at
-  construction and the engine's validated dispatch loop sweeps the
+  construction and the engine's per-event dispatch probe sweeps the
   conservation laws while the simulation runs.  When not attached the
-  hot path is untouched (a single ``is not None`` test at construction).
-- ``python -m repro.validate.fuzz`` — a seeded scenario fuzzer that draws
+  hot path pays one ``is None`` test per event (the native core: none).
+- ``python -m repro fuzz`` — a seeded scenario fuzzer that draws
   random topologies/protocols/workloads/faults and runs each under full
   checking plus differential (rerun and serial-vs-parallel) comparisons.
 """

@@ -5,12 +5,13 @@ The checker is a subscriber of the shared
 themselves to ``sim.hooks`` at construction (``sim.hooks is not None`` —
 the *only* cost paid on the normal, unobserved path) and the registry
 fans the lifecycle and per-queue drop/mark events out to the checker, the
-tracer, or both — no parallel callback chains.  The engine's validated
-dispatch loop then calls :meth:`InvariantChecker.check_dispatch_time` per
-event and :meth:`InvariantChecker.sweep` every ``sweep_every`` events;
-sweeps are plain in-loop calls, never scheduled events, so validated runs
-process the exact same event sequence as unvalidated ones and produce
-identical results.
+tracer, or both — no parallel callback chains.  The engine's pure dispatch
+loop then runs every event through :meth:`InvariantChecker.dispatch`, its
+per-event probe, which checks the dispatch time and runs
+:meth:`InvariantChecker.sweep` every ``sweep_every`` events; the loop
+sweeps once more at the end of every run.  Sweeps are plain in-loop calls,
+never scheduled events, so validated runs process the exact same event
+sequence as unvalidated ones and produce identical results.
 
 Checked invariants
 ------------------
@@ -54,7 +55,7 @@ the first broken account is the one closest to the bug).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..core.state_machine import SlowTimeStateMachine
@@ -108,12 +109,18 @@ class InvariantChecker:
         "_receivers",
         "_record_by_queue",
         "_last_dispatch_ns",
+        "_since_sweep",
+        "_inner",
     )
 
     def __init__(self, sim: "Simulator", sweep_every: int = DEFAULT_SWEEP_EVERY):
         self.sim = sim
         self.sweep_every = sweep_every
         self.sweeps = 0
+        self._since_sweep = 0
+        # The engine profiler's probe, which this one wraps when attached.
+        profiler = sim.profiler
+        self._inner = profiler.dispatch if profiler is not None else None
         self._queues: List[_QueueRecord] = []
         self._ports: List["OutputPort"] = []
         self._switches: List["SharedBufferSwitch"] = []
@@ -175,21 +182,36 @@ class InvariantChecker:
             )
 
     # -- engine hooks ------------------------------------------------------------
-    def check_dispatch_time(self, time_ns: int) -> None:
-        """Called by the validated dispatch loop before each event fires."""
+    def dispatch(self, time_ns: int, callback: Callable[..., None], args: tuple) -> None:
+        """The engine's per-event probe: run ``callback(*args)``, checked.
+
+        Asserts dispatch timestamps are monotone non-decreasing, then runs
+        the event (through the wrapped probe, if any) and sweeps every
+        ``sweep_every`` events.
+        """
         if time_ns < self._last_dispatch_ns:
             self._fail(
                 f"event dispatch time went backwards: {time_ns} < {self._last_dispatch_ns}"
             )
         self._last_dispatch_ns = time_ns
+        inner = self._inner
+        if inner is None:
+            callback(*args)
+        else:
+            inner(time_ns, callback, args)
+        self._since_sweep += 1
+        if self._since_sweep >= self.sweep_every:
+            self.sweep()
 
     def sweep(self) -> None:
         """Assert every registered conservation law at the current instant.
 
         Runs between events (never inside one), where every component is in
-        a quiescent, self-consistent state.
+        a quiescent, self-consistent state.  Restarts the
+        ``sweep_every`` cadence.
         """
         self.sweeps += 1
+        self._since_sweep = 0
         for record in self._queues:
             self._check_queue(record)
         for port in self._ports:

@@ -355,9 +355,8 @@ class BenchmarkWorkload:
             and self._open_flows == 0
         ):
             self.finished = True
-            # Engine-level stop flag instead of a per-event stop_when
-            # predicate — but only when run_to_completion is the pump, so a
-            # caller's own sim.run(until=...) keeps its scope
+            # Stop the pump via the engine flag — but only when
+            # run_to_completion is the pump, so a caller's own sim.run(until=...) keeps its scope
             # (run_to_completion guards the already-finished case).
             if self._stop_on_finish:
                 self.sim.request_stop()

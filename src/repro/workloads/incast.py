@@ -306,9 +306,9 @@ class IncastWorkload:
         self._round_index += 1
         if self._round_index >= self.config.n_rounds:
             self.finished = True
-            # Stop the pump via the engine flag rather than a per-event
-            # stop_when predicate — but only when run_to_completion is the
-            # pump, so a caller's own sim.run(until=...) keeps its scope.
+            # Stop the pump via the engine flag — but only when
+            # run_to_completion is the pump, so a caller's own
+            # sim.run(until=...) keeps its scope.
             if self._stop_on_finish:
                 sim.request_stop()
         else:

@@ -78,14 +78,6 @@ class TestRun:
         assert processed == 4
         assert len(sim.queue) == 6
 
-    def test_stop_when_predicate(self):
-        sim = Simulator()
-        seen = []
-        for t in range(1, 6):
-            sim.schedule(t, seen.append, t)
-        sim.run(stop_when=lambda: len(seen) >= 3)
-        assert seen == [1, 2, 3]
-
     def test_nested_scheduling(self):
         sim = Simulator()
         seen = []

@@ -3,7 +3,7 @@
 Two kinds of pinning:
 
 - **Semantics parity**: every engine behaviour (until/max_events/
-  stop_when/request_stop, cancellation, deferred reschedules, exception
+  request_stop, cancellation, deferred reschedules, exception
   propagation, freelist recycling, light/regular interleaving) runs
   parametrized over both modes and must behave identically.
 - **Digest equivalence**: a full scenario simulated natively must hash
@@ -101,13 +101,6 @@ class TestSemanticsParity:
         assert sim.events_processed == 4
         assert sim.run() == 6
 
-    def test_stop_when_predicate(self, sim):
-        seen = []
-        for t in range(1, 6):
-            sim.schedule(t, seen.append, t)
-        sim.run(stop_when=lambda: len(seen) >= 3)
-        assert seen == [1, 2, 3]
-
     def test_request_stop_from_callback(self, sim):
         seen = []
 
@@ -130,6 +123,25 @@ class TestSemanticsParity:
         assert seen == ["keep"]
         assert kill in sim.queue._free  # carcass recycled through the freelist
         assert keep in sim.queue._free  # fired handle recycled too
+
+    def test_reschedule_to_its_own_slot_time_orders_like_cancel_and_push(self, sim):
+        seen = []
+        timer = sim.schedule(5, seen.append, "timer")
+        sim.schedule(5, seen.append, "other")
+        sim.reschedule(timer, 5, seen.append, "rearmed")
+        sim.run()
+        assert seen == ["other", "rearmed"]
+
+    def test_reschedule_back_to_a_deferred_slot_time(self, sim):
+        # The timer's slot is at t=5 but its deadline was deferred to t=6;
+        # moving it back to t=5 must still order it after "other".
+        seen = []
+        timer = sim.schedule(5, seen.append, "timer")
+        sim.schedule(5, seen.append, "other")
+        timer = sim.reschedule(timer, 6, seen.append, "deferred")
+        sim.schedule_light(1, lambda _a: sim.reschedule(timer, 4, seen.append, "back"), 0)
+        sim.run()
+        assert seen == ["other", "back"]
 
     def test_deferred_reschedule_refiles_at_true_deadline(self, sim):
         seen = []

@@ -172,15 +172,9 @@ def test_profiler_attributes_dispatch_time():
     assert profiler.wall_s > 0
     assert profiler.events_per_sec > 0
     kinds = dict(zip(profiler.schema(), next(iter(profiler.rows()))))
-    assert set(profiler.schema()) == {
-        "kind", "events", "total_s", "mean_us", "share", "mean_batch",
-    }
+    assert set(profiler.schema()) == {"kind", "events", "total_s", "mean_us", "share"}
     assert kinds["events"] > 0
-    assert kinds["mean_batch"] >= 1.0
-    assert profiler.batches > 0
-    assert profiler.mean_batch_size >= 1.0
     assert "events/s" in profiler.report()
-    assert "batches" in profiler.report()
 
 
 def test_profiled_run_matches_plain_run():
@@ -200,9 +194,22 @@ def test_profiler_composes_with_tracing():
     assert traced.trace_events == plain.trace_events
 
 
-def test_validated_loop_takes_precedence_over_profiler():
-    """validate + profile: the checker's loop runs, the profiler stays idle."""
+def test_profiler_composes_with_validation():
+    """validate + profile: the checker's probe wraps the profiler's, so the
+    profiler counts every event and the checker still sweeps."""
+    from repro.sim.engine import Simulator
+
+    profiler = EngineProfiler()
+    sim = Simulator(validate=True, profiler=profiler)
+    for t in range(600):
+        sim.schedule(t, lambda: None)
+    assert sim.run() == 600
+    assert profiler.events == 600
+    assert sum(profiler.counts.values()) == 600
+    # in-run sweeps at the sweep_every cadence, plus the end-of-run one
+    assert sim.checker.sweeps == 600 // sim.checker.sweep_every + 1
+
     profiler = EngineProfiler()
     result = run_scenario(_spec(), validate=True, profiler=profiler)
-    assert result.events_processed > 0
-    assert profiler.events == 0
+    assert profiler.events == result.events_processed > 0
+    assert sum(profiler.counts.values()) == result.events_processed

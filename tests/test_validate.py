@@ -145,9 +145,9 @@ class TestDetection:
 
     def test_catches_dispatch_time_regression(self):
         sim = Simulator(validate=True)
-        sim.checker.check_dispatch_time(100)
+        sim.checker.dispatch(100, lambda: None, ())
         with pytest.raises(InvariantViolation, match="backwards"):
-            sim.checker.check_dispatch_time(99)
+            sim.checker.dispatch(99, lambda: None, ())
 
 
 class TestMachineObserver:
