@@ -56,9 +56,9 @@ class Host(Node):
         self._flow_col = self.pool.flow_id
         self._pool_free = self.pool.free
         self._flows: Dict[int, FlowEndpoint] = {}
-        # Demux fast path: flow id -> the endpoint's bound on_packet, so
-        # delivery is one dict probe + one call.  Kept in lockstep with
-        # _flows by register/unregister (endpoints never rebind on_packet).
+        # Demux table: flow id -> the endpoint's bound on_packet (probed in
+        # C by native ports).  Kept in lockstep with _flows by
+        # register/unregister (endpoints never rebind on_packet).
         self._dispatch: Dict[int, Callable[[int], None]] = {}
         self._dispatch_get = self._dispatch.get
         self.undeliverable_packets = 0

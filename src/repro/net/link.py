@@ -34,6 +34,7 @@ class Link:
         "_ser_ns",
         "_wire",
         "_dst_receive",
+        "_port",
     )
 
     def __init__(
@@ -51,6 +52,9 @@ class Link:
         self.dst = dst
         self.delivered_packets = 0
         self.delivered_bytes = 0
+        #: The native port that owns this link's delays and counters while
+        #: attached to it (see repro.net.port), else None.
+        self._port = None
         # Traffic uses a handful of frame sizes (full MSS, pure ACK, tail
         # segments), so serialization delays memoize to a tiny dict and the
         # per-packet ceil-division drops out of the hot path.
@@ -76,10 +80,9 @@ class Link:
     def propagate(self, sim: Simulator, h: int) -> None:
         """Deliver handle ``h`` to the far end after the propagation delay.
 
-        Called by the output port at the instant serialization completes.
-        (Ports fuse this into their pump for plain links; this method runs
-        for subclasses and direct callers.)  The arrival is one-shot and
-        never cancelled, so it schedules as a light event.
+        Called by the output port at the instant serialization completes
+        (a native port does this hop in C for a plain link).  The arrival
+        is one-shot and never cancelled, so it schedules as a light event.
         """
         self.delivered_packets += 1
         self.delivered_bytes += self._wire[h]

@@ -3,27 +3,47 @@
 The port implements the standard store-and-forward egress pump: when a
 packet is admitted to an idle port it begins serializing immediately; when
 serialization finishes the frame is handed to the link for propagation and
-the next queued frame (if any) starts serializing.
+the next queued frame (if any) starts serializing.  Ports move packet
+*handles* (see :mod:`repro.net.pool`), never objects.
 
-Every packet in every experiment crosses several ports, so the pump binds
-its collaborators (queue ops, wire-size column, link delay lookup,
-scheduler) once at construction instead of chasing attributes per packet,
-and it moves packet *handles* (see :mod:`repro.net.pool`), never objects.
+There are two pumps with one behaviour:
+
+- :class:`OutputPort` is the plain Python reference: ``send`` calls
+  ``queue.enqueue``, serialization-finish calls ``link.propagate`` and
+  ``queue.dequeue``.  It runs on the pure-Python engine, and under the
+  native core for queue subclasses (the shared-buffer switch), queues
+  whose methods were swapped (the validate fuzzer's mutations), and
+  queues that already hold packets.
+- Everywhere else under the native core, ``OutputPort(...)`` builds a
+  :class:`_NativePort`: a C port (``_evcore.Port``) owns the FIFO, the
+  admission and ECN/INC marking, the transmitter and the link's delays and
+  counters, and *is* the port's ``send``.  Its serialization-finish and
+  the arrival it schedules are light events on the core's heap, and
+  arrivals at a :class:`~repro.net.switch.Switch` or
+  :class:`~repro.net.host.Host` are demultiplexed in C, so a packet only
+  re-enters Python at an endpoint's ``on_packet`` and at installed hooks.
+  The queue and the plain link read and write their public attributes
+  through to the C port for as long as it owns them, so hooks and
+  thresholds set after construction (Pulser's ``inc_threshold_bytes``,
+  a telemetry ``on_enqueue``) reach it.
 """
 
 from __future__ import annotations
 
 from ..sim.engine import Simulator
 from .link import Link
-from .pool import F_CE, F_ECT, F_INC
 from .queues import DropTailQueue
 
-# Captured at import: the pump inlines DropTailQueue's enqueue/dequeue, and
-# the inline gate must disengage if anyone has since swapped those methods
-# (the validate fuzzer's mutation testing does exactly that to prove the
-# checker catches accounting bugs).
+# Captured at import: a queue still running exactly these methods can hand
+# its admission to the native port; a swapped method keeps the Python pump
+# so the override stays in the loop.
 _PRISTINE_ENQUEUE = DropTailQueue.enqueue
 _PRISTINE_DEQUEUE = DropTailQueue.dequeue
+
+#: The queue's and the link's public state, which the native port owns
+#: under the same names while it runs their pump.
+_QUEUE_STATE = tuple(n for n in DropTailQueue.__slots__ if n[0] != "_" and n != "pool")
+_LINK_STATE = tuple(n for n in Link.__slots__ if n[0] != "_" and n != "dst")
 
 
 class OutputPort:
@@ -34,68 +54,42 @@ class OutputPort:
     sim:
         The simulator (owns the clock the pump runs on).
     link:
-        The outgoing :class:`Link`.
+        The outgoing :class:`Link`; assigning ``port.link`` splices in a
+        replacement (e.g. a :class:`~repro.net.faults.FaultyLink`) that
+        takes over from the next frame to finish serializing.
     queue:
         Byte-accounted FIFO; ECN marking behaviour is configured there.
     name:
         Identifier used by instrumentation (e.g. ``"switch1->aggregator"``).
     """
 
-    __slots__ = (
-        "sim",
-        "_link",
-        "queue",
-        "name",
-        "_busy",
-        "tx_packets",
-        "tx_bytes",
-        "_enqueue",
-        "_dequeue",
-        "_plain_queue",
-        "_backlog",
-        "_wire",
-        "_ser_delay",
-        "_ser_get",
-        "_propagate",
-        "_schedule",
-        "_push_light",
-        "_finish",
-        "_prop_delay",
-        "_dst_receive",
-    )
+    __slots__ = ("sim", "queue", "name", "_link", "_wire", "_busy", "tx_packets", "tx_bytes")
+
+    def __new__(cls, sim: Simulator, link: Link, queue: DropTailQueue, name: str = ""):
+        if (
+            cls is OutputPort
+            and sim._core is not None
+            and queue.__class__ is DropTailQueue
+            and DropTailQueue.enqueue is _PRISTINE_ENQUEUE
+            and DropTailQueue.dequeue is _PRISTINE_DEQUEUE
+            and not queue._queue
+        ):
+            cls = _NativePort
+        return object.__new__(cls)
 
     def __init__(self, sim: Simulator, link: Link, queue: DropTailQueue, name: str = ""):
         self.sim = sim
         self.queue = queue
         self.name = name
+        self._wire = queue.pool.wire_bytes
         self._busy = False
         self.tx_packets = 0
         self.tx_bytes = 0
-        self._enqueue = queue.enqueue
-        self._dequeue = queue.dequeue
-        # Exactly-DropTailQueue egress gets its enqueue/dequeue inlined
-        # into the pump (marking, occupancy and departure counters, nothing
-        # virtual); subclasses (e.g. the shared-buffer _PooledQueue) and
-        # monkeypatched queue methods keep the indirect call so their
-        # overrides stay in the loop.
-        self._plain_queue = (
-            queue.__class__ is DropTailQueue
-            and DropTailQueue.enqueue is _PRISTINE_ENQUEUE
-            and DropTailQueue.dequeue is _PRISTINE_DEQUEUE
-        )
-        # The queue's backing deque, tested for emptiness before paying the
-        # dequeue call; roughly half of all pump polls find nothing queued.
-        self._backlog = queue._queue
-        # Wire-size column of the pool backing this queue's packets.
-        self._wire = queue.pool.wire_bytes
-        self._schedule = sim.schedule
-        # Serialization-finish and propagation-arrival are one-shot and
-        # never cancelled, so the pump schedules them as light events
-        # (no Event allocation, no cancel bookkeeping) through the bound
-        # absolute-time primitive — a direct C call in native mode.
-        self._push_light = sim.push_light
-        self.link = link  # property: also binds the link fast paths
-        hooks = sim.hooks
+        self._link = link
+        self._announce()
+
+    def _announce(self) -> None:
+        hooks = self.sim.hooks
         if hooks is not None:
             hooks.port_created(self)
 
@@ -105,31 +99,12 @@ class OutputPort:
 
     @link.setter
     def link(self, link: Link) -> None:
-        """Attach ``link``, rebinding the pump's per-packet fast paths.
-
-        A property so that tests splicing a replacement link (e.g. a
-        :class:`~repro.net.faults.FaultyLink`) onto a built port keep the
-        bound methods coherent with the active link.
-        """
         self._link = link
-        self._ser_delay = link.serialization_delay
-        # Fast path for the delay lookup: probe the link's memo dict
-        # directly and only fall back to the computing method on a miss.
-        self._ser_get = link._ser_ns.get
-        self._propagate = link.propagate
-        if link.__class__ is Link and link.dst is not None:
-            # A plain link is pure bookkeeping + a constant-delay hop, so
-            # its propagate() is fused into the pump (_finish_tx): the
-            # delivery schedules straight onto dst.receive with no
-            # intermediate call frame.  Subclasses (FaultyLink et al.)
-            # override propagate() and keep the indirect path.
-            self._prop_delay = link.prop_delay_ns
-            self._dst_receive = link._dst_receive
-            self._finish = self._finish_tx
-        else:
-            self._prop_delay = None
-            self._dst_receive = None
-            self._finish = self._finish_tx_indirect
+
+    @property
+    def backlog_bytes(self) -> int:
+        """Bytes currently waiting (excludes the frame on the wire)."""
+        return self.queue.occupancy_bytes
 
     def send(self, h: int) -> bool:
         """Admit handle ``h`` to the egress queue; start the pump if idle.
@@ -137,120 +112,133 @@ class OutputPort:
         Returns False when the queue dropped the packet (the handle is
         freed by the queue in that case and must not be used again).
         """
-        if not self._plain_queue:
-            if not self._enqueue(h):
-                return False
-            if not self._busy:
-                self._start_next()
-            return True
-        # Inlined DropTailQueue.enqueue (keep in sync with queues.py):
-        # ECN/INC marking against the occupancy the arriving packet sees,
-        # then drop-tail admission.
-        q = self.queue
-        flags_col = q._flags
-        occupancy = q.occupancy_bytes
-        wire_bytes = self._wire[h]
-        flags = flags_col[h]
-        threshold = q.ecn_threshold_bytes
-        if threshold is not None and flags & F_ECT and occupancy > threshold:
-            if not (flags & F_CE):
-                flags = flags_col[h] = flags | F_CE
-                q.marked_packets += 1
-                if q.on_mark is not None:
-                    q.on_mark(h)
-        inc_threshold = q.inc_threshold_bytes
-        if inc_threshold is not None and occupancy > inc_threshold and not (flags & F_INC):
-            flags_col[h] = flags | F_INC
-            q.inc_marked_packets += 1
-        if occupancy + wire_bytes > q.capacity_bytes:
-            q.dropped_packets += 1
-            q.dropped_bytes += wire_bytes
-            if q.on_drop is not None:
-                q.on_drop(h)
-            q._pool_free(h)
+        if not self.queue.enqueue(h):
             return False
-        self._backlog.append(h)
-        q.occupancy_bytes = occupancy + wire_bytes
-        q.enqueued_packets += 1
-        q.enqueued_bytes += wire_bytes
-        if q.on_enqueue is not None:
-            q.on_enqueue(h)
         if not self._busy:
             self._start_next()
         return True
 
-    @property
-    def backlog_bytes(self) -> int:
-        """Bytes currently waiting (excludes the frame on the wire)."""
-        return self.queue.occupancy_bytes
-
     def _start_next(self) -> None:
-        backlog = self._backlog
-        if not backlog:
+        h = self.queue.dequeue()
+        if h is None:
             self._busy = False
             return
-        if self._plain_queue:
-            # Inlined DropTailQueue.dequeue (keep in sync with queues.py).
-            h = backlog.popleft()
-            q = self.queue
-            wire_bytes = self._wire[h]
-            q.occupancy_bytes -= wire_bytes
-            q.dequeued_packets += 1
-            q.dequeued_bytes += wire_bytes
-        else:
-            h = self._dequeue()
-            wire_bytes = self._wire[h]
         self._busy = True
-        delay = self._ser_get(wire_bytes)
-        if delay is None:
-            delay = self._ser_delay(wire_bytes)
-        self._push_light(self.sim.now + delay, self._finish, h)
+        sim = self.sim
+        # Serialization-finish is one-shot and never cancelled: a light event.
+        delay = self._link.serialization_delay(self._wire[h])
+        sim.push_light(sim.now + delay, self._finish_tx, h)
 
     def _finish_tx(self, h: int) -> None:
-        # Fused fast path (plain Link only): port + link bookkeeping, the
-        # propagation hop straight onto the destination's receive, then the
-        # next frame's serialization — one callback per wire departure.
-        if self._prop_delay is None:
-            # The link was spliced (e.g. to a FaultyLink) while this frame
-            # was on the wire; deliver it through the new link's propagate,
-            # exactly as the pre-fusion pump did.
-            self._finish_tx_indirect(h)
-            return
-        wire_bytes = self._wire[h]
-        self.tx_packets += 1
-        self.tx_bytes += wire_bytes
-        link = self._link
-        link.delivered_packets += 1
-        link.delivered_bytes += wire_bytes
-        now = self.sim.now
-        push = self._push_light
-        push(now + self._prop_delay, self._dst_receive, h)
-        # Inlined _start_next: the pump is mid-transmission, so _busy is
-        # already True and only the went-idle transition needs a store.
-        backlog = self._backlog
-        if not backlog:
-            self._busy = False
-            return
-        if self._plain_queue:
-            # Inlined DropTailQueue.dequeue (keep in sync with queues.py).
-            nxt = backlog.popleft()
-            q = self.queue
-            wire_bytes = self._wire[nxt]
-            q.occupancy_bytes -= wire_bytes
-            q.dequeued_packets += 1
-            q.dequeued_bytes += wire_bytes
-        else:
-            nxt = self._dequeue()
-            wire_bytes = self._wire[nxt]
-        delay = self._ser_get(wire_bytes)
-        if delay is None:
-            delay = self._ser_delay(wire_bytes)
-        push(now + delay, self._finish, nxt)
-
-    def _finish_tx_indirect(self, h: int) -> None:
-        # Virtual path for Link subclasses whose propagate() does more
-        # than bookkeeping (fault injection, scripted drops).
         self.tx_packets += 1
         self.tx_bytes += self._wire[h]
-        self._propagate(self.sim, h)
+        self._link.propagate(self.sim, h)
         self._start_next()
+
+
+class _NativePort(OutputPort):
+    """An :class:`OutputPort` whose pump runs in the native event core.
+
+    ``send`` is the C port itself.  The queue's and the plain link's public
+    attributes read through to it (see :class:`_PortQueue` and
+    :class:`_PortLink`); ``tx_packets``, ``tx_bytes`` and ``_busy`` here
+    do the same.
+    """
+
+    __slots__ = ("send",)
+
+    def __init__(self, sim: Simulator, link: Link, queue: DropTailQueue, name: str = ""):
+        self.sim = sim
+        self.queue = queue
+        self.name = name
+        pool = queue.pool
+        port = self.send = sim._core.port(sim, pool.flags, pool.wire_bytes, pool.free)
+        for field in _QUEUE_STATE:
+            setattr(port, field, getattr(queue, field))
+        # The C port is the queue's FIFO from now on.
+        queue._queue = port
+        queue.__class__ = _PortQueue
+        self._link = None
+        self.link = link
+        self._announce()
+
+    tx_packets = property(lambda self: self.send.tx_packets)
+    tx_bytes = property(lambda self: self.send.tx_bytes)
+    _busy = property(lambda self: self.send.busy)
+
+    @property
+    def link(self) -> Link:
+        return self._link
+
+    @link.setter
+    def link(self, link: Link) -> None:
+        port = self.send
+        old = self._link
+        if old is not None and old._port is port:
+            # Hand the detached link its counters back.
+            state = [getattr(old, field) for field in _LINK_STATE]
+            old.__class__ = Link
+            old._port = None
+            for field, value in zip(_LINK_STATE, state):
+                setattr(old, field, value)
+        self._link = link
+        if link.__class__ is Link and link.dst is not None and link._port is None:
+            for field in _LINK_STATE:
+                setattr(port, field, getattr(link, field))
+            link._port = port
+            link.__class__ = _PortLink
+            port.arrival = _arrival(self.sim._core, link.dst)
+            port.propagate = port.serialize = None
+        else:
+            # A Link subclass (fault injection) keeps its own hop in Python.
+            port.propagate = link.propagate
+            port.serialize = link.serialization_delay
+
+
+def _arrival(core, dst):
+    """What the native port schedules when a frame reaches ``dst``."""
+    from .host import Host
+    from .switch import Switch
+
+    if dst.__class__ is Switch:
+        return core.demux(dst._sends, dst._dst_col, dst.receive)
+    if dst.__class__ is Host:
+        return core.demux(dst._dispatch, dst._flow_col, dst.receive)
+    return dst.receive
+
+
+def _through(owner: str, field: str) -> property:
+    """Attribute ``field`` stored on the native port held in slot ``owner``."""
+
+    def get(self):
+        return getattr(getattr(self, owner), field)
+
+    def set(self, value):
+        setattr(getattr(self, owner), field, value)
+
+    return property(get, set)
+
+
+class _PortQueue(DropTailQueue):
+    """A :class:`DropTailQueue` whose FIFO and state a native port owns."""
+
+    __slots__ = ()
+
+    def enqueue(self, h: int) -> bool:
+        return self._queue.enqueue(h)
+
+    def dequeue(self):
+        return self._queue.dequeue()
+
+
+class _PortLink(Link):
+    """A plain :class:`Link` whose delays and counters a native port owns."""
+
+    __slots__ = ()
+
+
+for _field in _QUEUE_STATE:
+    setattr(_PortQueue, _field, _through("_queue", _field))
+for _field in _LINK_STATE:
+    setattr(_PortLink, _field, _through("_port", _field))
+del _field

@@ -127,9 +127,9 @@ class Switch(Node):
         self._dst_col = self.pool.dst
         self._pool_free = self.pool.free
         self._routes: Dict[int, OutputPort] = {}
-        # Forwarding fast path: destination -> the route port's bound
-        # send(), so the per-packet hop is one dict probe + one call with
-        # no attribute chase.  Kept in lockstep with _routes by add_route.
+        # Forwarding table: destination -> the route port's send, so the
+        # hop is one dict probe + one call (native ports demux it in C off
+        # this same live dict).  Kept in lockstep with _routes by add_route.
         self._sends: Dict[int, Callable[[int], bool]] = {}
         self._sends_get = self._sends.get
         # ECMP groups: destination -> the tuple of equal-cost candidate

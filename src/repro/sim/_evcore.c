@@ -1,7 +1,8 @@
 /* _evcore: native event core for the repro discrete-event simulator.
  *
- * Two jobs, both bit-compatible with the pure-Python engine in
- * repro/sim/engine.py (which remains the ground truth and the fallback):
+ * Three jobs, all bit-compatible with the pure-Python engine and pump in
+ * repro/sim/engine.py and repro/net/port.py (which remain the ground
+ * truth and the fallback):
  *
  * 1. A binary heap of *light events* — one-shot, never-cancelled
  *    callbacks — keyed by native (int64 time, int64 seq) pairs, so heap
@@ -13,11 +14,23 @@
  *    light heap and the Python EventQueue heap (regular, cancellable
  *    Events) and invokes callbacks until a stop condition holds.
  *
+ * 3. The store-and-forward hop.  A Port owns one egress direction's
+ *    whole pump state — the FIFO of packet handles, drop-tail admission
+ *    with ECN/INC marking, the transmitter, the link's serialization and
+ *    propagation delays, and every queue/port/link counter — and calling
+ *    it *is* the port's send.  Its serialization-finish and the
+ *    propagation-arrival it schedules are light events on the same heap
+ *    under the same (time, seq) keys; an arrival at a switch or host is
+ *    demultiplexed in C by a Demux over the node's live forwarding table,
+ *    so a packet only re-enters Python at an endpoint's on_packet (or an
+ *    installed queue hook, or a Link subclass's propagate).
+ *
  * Ordering is *provably* identical to the pure path: both heaps draw
  * sequence numbers from one shared counter (owned here in native mode),
  * every key (time, seq) is unique, and dispatch always takes the global
  * minimum — so the dispatch order is the unique total order by
- * (time, seq), independent of heap internals.
+ * (time, seq), independent of heap internals.  The port pushes exactly
+ * the events the Python pump pushes, in the same order.
  *
  * Field access uses __slots__ member offsets resolved once per run (with
  * a GetAttr fallback should a field ever stop being a slot), so the
@@ -35,11 +48,20 @@
 /* ------------------------------------------------------------------ */
 /* Light-event heap: C struct entries, native int64 keys.              */
 
+/* What a light event does when it fires. */
+enum {
+    LK_CALL = 0,    /* cb(arg): a Python callable                       */
+    LK_FINISH = 1,  /* serialization of handle h on Port cb finished    */
+    LK_ARRIVE = 2,  /* handle h arrives at the node Demux cb serves     */
+};
+
 typedef struct {
-    long long t;    /* absolute fire time (ns)  */
-    long long s;    /* global sequence number   */
-    PyObject *cb;   /* owned                    */
-    PyObject *arg;  /* owned                    */
+    long long t;    /* absolute fire time (ns)           */
+    long long s;    /* global sequence number            */
+    PyObject *cb;   /* owned                             */
+    PyObject *arg;  /* owned for LK_CALL, else NULL      */
+    Py_ssize_t h;   /* packet handle (LK_FINISH/ARRIVE)  */
+    int kind;
 } LEntry;
 
 typedef struct {
@@ -104,18 +126,23 @@ core_siftdown(EventCore *self, Py_ssize_t pos)
     heap[pos] = item;
 }
 
+/* Push an entry under the next sequence number; takes new references to
+ * cb and (when not NULL) arg. */
 static int
-core_push_entry(EventCore *self, long long t, long long s, PyObject *cb, PyObject *arg)
+core_push_entry(EventCore *self, long long t, int kind, PyObject *cb, PyObject *arg,
+                Py_ssize_t h)
 {
     if (self->size == self->capacity && core_grow(self) < 0)
         return -1;
     LEntry *e = &self->heap[self->size];
     e->t = t;
-    e->s = s;
+    e->s = self->seq++;
     Py_INCREF(cb);
-    Py_INCREF(arg);
+    Py_XINCREF(arg);
     e->cb = cb;
     e->arg = arg;
+    e->h = h;
+    e->kind = kind;
     self->size += 1;
     core_siftup(self, self->size - 1);
     return 0;
@@ -230,7 +257,7 @@ core_drop_all(EventCore *self)
     self->capacity = 0;
     for (Py_ssize_t i = 0; i < n; i++) {
         Py_DECREF(heap[i].cb);
-        Py_DECREF(heap[i].arg);
+        Py_XDECREF(heap[i].arg);
     }
     PyMem_Free(heap);
 }
@@ -280,7 +307,7 @@ EventCore_push(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
     long long t = PyLong_AsLongLong(args[0]);
     if (t == -1 && PyErr_Occurred())
         return NULL;
-    if (core_push_entry(self, t, self->seq++, args[1], args[2]) < 0)
+    if (core_push_entry(self, t, LK_CALL, args[1], args[2], 0) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -406,6 +433,608 @@ bump_processed(PyObject *sim, long long n)
     PyErr_Restore(type, value, tb);
 }
 
+/* ------------------------------------------------------------------ */
+/* Port: one egress direction's store-and-forward pump, state in C.   *
+ *                                                                    *
+ * Mirrors repro/net/port.py's Python pump over a DropTailQueue and a *
+ * Link step for step (see OutputPort._send / _start_next /           *
+ * _finish_tx, DropTailQueue.enqueue / dequeue, Link.propagate), so   *
+ * both push the same light events in the same order.  Python sees    *
+ * the state through members named after the DropTailQueue, OutputPort *
+ * and Link attributes they back.                                     */
+
+/* Packet flag bits (repro.net.pool). */
+#define F_ECT 2
+#define F_CE 4
+#define F_INC 16
+
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;  /* calling the port is its send(h) */
+    EventCore *core;            /* owned */
+    PyObject *sim;              /* owned: the clock is sim.now */
+    Py_ssize_t now_off;         /* __slots__ offset of sim.now, or -1 */
+    PyObject *flags;            /* pool.flags (bytearray) */
+    PyObject *wire;             /* pool.wire_bytes (list of int) */
+    PyObject *pool_free;        /* pool.free: a dropped packet ends here */
+    /* FIFO of queued handles: a ring buffer */
+    Py_ssize_t *ring;
+    Py_ssize_t head, count, cap;
+    /* DropTailQueue */
+    long long capacity_bytes;
+    char has_ecn, has_inc;      /* threshold set (None disables it) */
+    long long ecn_threshold, inc_threshold;
+    long long occupancy_bytes;
+    long long enqueued_packets, enqueued_bytes;
+    long long dequeued_packets, dequeued_bytes;
+    long long dropped_packets, dropped_bytes;
+    long long marked_packets, inc_marked_packets;
+    PyObject *on_drop, *on_mark, *on_enqueue;  /* None or NULL: unset */
+    /* OutputPort transmitter */
+    char busy;
+    long long tx_packets, tx_bytes;
+    /* Link */
+    long long rate_bps, prop_delay_ns;
+    long long delivered_packets, delivered_bytes;
+    PyObject *arrival;    /* Demux, or a callable taking the handle */
+    PyObject *propagate;  /* Link subclass: propagate(sim, h) replaces the hop */
+    PyObject *serialize;  /* Link subclass: serialization_delay(wire_bytes) */
+} Port;
+
+/* Demux: a switch's or host's receive(h) — `table[keys[h]]` is the next
+ * send (a Port or a Python callable) or the flow's on_packet.  Misses go
+ * to the node's own receive, which counts and frees them. */
+typedef struct {
+    PyObject_HEAD
+    PyObject *table;     /* owned dict, live: routes added later are seen */
+    PyObject *keys;      /* owned pool column (list of int) */
+    PyObject *fallback;  /* owned: the node's receive */
+} Demux;
+
+static PyTypeObject PortType;
+static PyTypeObject DemuxType;
+
+/* An optional object member: NULL and None both mean unset. */
+#define IS_SET(obj) ((obj) != NULL && (obj) != Py_None)
+
+/* fn(h) with a boxed handle; 0 or -1 with an exception set. */
+static int
+call_with_handle(PyObject *fn, Py_ssize_t h)
+{
+    PyObject *boxed = PyLong_FromSsize_t(h);
+    if (boxed == NULL)
+        return -1;
+    PyObject *res = PyObject_CallOneArg(fn, boxed);
+    Py_DECREF(boxed);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+static int
+port_wire(Port *p, Py_ssize_t h, long long *out)
+{
+    if ((size_t)h >= (size_t)PyList_GET_SIZE(p->wire) ||
+        (size_t)h >= (size_t)PyByteArray_GET_SIZE(p->flags)) {
+        PyErr_Format(PyExc_IndexError, "packet handle %zd out of range", h);
+        return -1;
+    }
+    long long w = PyLong_AsLongLong(PyList_GET_ITEM(p->wire, h));
+    if (w == -1 && PyErr_Occurred())
+        return -1;
+    *out = w;
+    return 0;
+}
+
+/* The flag byte of handle h.  Re-derived on every access: a hook may run
+ * Python code that grows the pool, which can move the bytearray. */
+#define PORT_FLAGS(p) ((unsigned char *)PyByteArray_AS_STRING((p)->flags))
+
+static int
+port_now(Port *p, long long *out)
+{
+    PyObject *now;
+    if (p->now_off >= 0) {
+        now = SLOT(p->sim, p->now_off);
+        if (now == NULL) {
+            PyErr_SetObject(PyExc_AttributeError, str_now);
+            return -1;
+        }
+        Py_INCREF(now);
+    } else {
+        now = PyObject_GetAttr(p->sim, str_now);
+        if (now == NULL)
+            return -1;
+    }
+    *out = PyLong_AsLongLong(now);
+    Py_DECREF(now);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* Link.serialization_delay: the frame's bits at the link rate, rounded
+ * up to a whole nanosecond (repro.sim.units.transmission_time_ns). */
+static int
+port_serialization(Port *p, long long wire, long long *out)
+{
+    if (IS_SET(p->serialize)) {
+        PyObject *res = PyObject_CallFunction(p->serialize, "L", wire);
+        if (res == NULL)
+            return -1;
+        *out = PyLong_AsLongLong(res);
+        Py_DECREF(res);
+        return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+    }
+    if (p->rate_bps <= 0) {
+        PyErr_Format(PyExc_ValueError, "link rate must be positive, got %lld", p->rate_bps);
+        return -1;
+    }
+    if (wire < 0) {
+        PyErr_Format(PyExc_ValueError, "size must be non-negative, got %lld", wire);
+        return -1;
+    }
+    if (wire > LLONG_MAX / 8000000000LL) {
+        PyErr_SetString(PyExc_OverflowError, "frame too large to serialize");
+        return -1;
+    }
+    long long bits_ns = wire * 8 * 1000000000LL;
+    *out = bits_ns / p->rate_bps + (bits_ns % p->rate_bps != 0);
+    return 0;
+}
+
+static int
+ring_push(Port *p, Py_ssize_t h)
+{
+    if (p->count == p->cap) {
+        Py_ssize_t cap = p->cap ? p->cap * 2 : 16;
+        Py_ssize_t *ring = PyMem_Malloc(cap * sizeof(Py_ssize_t));
+        if (ring == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (Py_ssize_t i = 0; i < p->count; i++)
+            ring[i] = p->ring[(p->head + i) % p->cap];
+        PyMem_Free(p->ring);
+        p->ring = ring;
+        p->head = 0;
+        p->cap = cap;
+    }
+    p->ring[(p->head + p->count) % p->cap] = h;
+    p->count += 1;
+    return 0;
+}
+
+/* DropTailQueue.enqueue: mark against the occupancy the arriving packet
+ * sees, then admit or drop.  1 admitted, 0 dropped (handle freed), -1
+ * error. */
+static int
+port_admit(Port *p, Py_ssize_t h)
+{
+    long long wire;
+    if (port_wire(p, h, &wire) < 0)
+        return -1;
+    long long occupancy = p->occupancy_bytes;
+    unsigned char flags = PORT_FLAGS(p)[h];
+    if (p->has_ecn && (flags & F_ECT) && occupancy > p->ecn_threshold && !(flags & F_CE)) {
+        flags |= F_CE;
+        PORT_FLAGS(p)[h] = flags;
+        p->marked_packets += 1;
+        if (IS_SET(p->on_mark) && call_with_handle(p->on_mark, h) < 0)
+            return -1;
+    }
+    if (p->has_inc && occupancy > p->inc_threshold && !(flags & F_INC)) {
+        PORT_FLAGS(p)[h] = flags | F_INC;
+        p->inc_marked_packets += 1;
+    }
+    if (occupancy + wire > p->capacity_bytes) {
+        p->dropped_packets += 1;
+        p->dropped_bytes += wire;
+        if (IS_SET(p->on_drop) && call_with_handle(p->on_drop, h) < 0)
+            return -1;
+        return call_with_handle(p->pool_free, h);
+    }
+    if (ring_push(p, h) < 0)
+        return -1;
+    p->occupancy_bytes = occupancy + wire;
+    p->enqueued_packets += 1;
+    p->enqueued_bytes += wire;
+    if (IS_SET(p->on_enqueue) && call_with_handle(p->on_enqueue, h) < 0)
+        return -1;
+    return 1;
+}
+
+/* DropTailQueue.dequeue: 1 with the handle and its wire size set, 0 when
+ * empty, -1 error. */
+static int
+port_pop(Port *p, Py_ssize_t *hp, long long *wirep)
+{
+    if (p->count == 0)
+        return 0;
+    Py_ssize_t h = p->ring[p->head];
+    p->head = (p->head + 1) % p->cap;
+    p->count -= 1;
+    long long wire;
+    if (port_wire(p, h, &wire) < 0)
+        return -1;
+    p->occupancy_bytes -= wire;
+    p->dequeued_packets += 1;
+    p->dequeued_bytes += wire;
+    *hp = h;
+    *wirep = wire;
+    return 1;
+}
+
+/* OutputPort._start_next: serialize the head-of-line frame, or go idle. */
+static int
+port_start_next(Port *p, long long now)
+{
+    Py_ssize_t h;
+    long long wire, delay;
+    int got = port_pop(p, &h, &wire);
+    if (got <= 0) {
+        if (got == 0)
+            p->busy = 0;
+        return got;
+    }
+    p->busy = 1;
+    if (port_serialization(p, wire, &delay) < 0)
+        return -1;
+    return core_push_entry(p->core, now + delay, LK_FINISH, (PyObject *)p, NULL, h);
+}
+
+/* OutputPort._send: 1 admitted, 0 dropped, -1 error. */
+static int
+port_send(Port *p, Py_ssize_t h, long long now)
+{
+    int admitted = port_admit(p, h);
+    if (admitted <= 0)
+        return admitted;
+    if (!p->busy && port_start_next(p, now) < 0)
+        return -1;
+    return 1;
+}
+
+/* OutputPort._finish_tx: the frame left the wire; hand it to the link
+ * (Link.propagate), then start the next one. */
+static int
+port_finish(Port *p, Py_ssize_t h, long long now)
+{
+    long long wire;
+    if (port_wire(p, h, &wire) < 0)
+        return -1;
+    p->tx_packets += 1;
+    p->tx_bytes += wire;
+    if (IS_SET(p->propagate)) {
+        PyObject *res = PyObject_CallFunction(p->propagate, "On", p->sim, h);
+        if (res == NULL)
+            return -1;
+        Py_DECREF(res);
+    } else {
+        p->delivered_packets += 1;
+        p->delivered_bytes += wire;
+        PyObject *arrival = p->arrival;
+        if (!IS_SET(arrival)) {
+            PyErr_SetString(PyExc_RuntimeError, "port link has no destination");
+            return -1;
+        }
+        int rc;
+        if (Py_TYPE(arrival) == &DemuxType) {
+            rc = core_push_entry(p->core, now + p->prop_delay_ns, LK_ARRIVE, arrival, NULL, h);
+        } else {
+            PyObject *boxed = PyLong_FromSsize_t(h);
+            if (boxed == NULL)
+                return -1;
+            rc = core_push_entry(p->core, now + p->prop_delay_ns, LK_CALL, arrival, boxed, 0);
+            Py_DECREF(boxed);
+        }
+        if (rc < 0)
+            return -1;
+    }
+    return port_start_next(p, now);
+}
+
+/* Switch.receive / Host.receive. */
+static int
+demux_deliver(Demux *d, Py_ssize_t h, long long now)
+{
+    if ((size_t)h >= (size_t)PyList_GET_SIZE(d->keys)) {
+        PyErr_Format(PyExc_IndexError, "packet handle %zd out of range", h);
+        return -1;
+    }
+    PyObject *target = PyDict_GetItemWithError(d->table, PyList_GET_ITEM(d->keys, h));
+    if (target == NULL) {
+        if (PyErr_Occurred())
+            return -1;
+        return call_with_handle(d->fallback, h);
+    }
+    int rc;
+    Py_INCREF(target);  /* the call may unregister it */
+    if (Py_TYPE(target) == &PortType)
+        rc = port_send((Port *)target, h, now) < 0 ? -1 : 0;
+    else
+        rc = call_with_handle(target, h);
+    Py_DECREF(target);
+    return rc;
+}
+
+static PyObject *
+Port_vectorcall(PyObject *op, PyObject *const *args, size_t nargsf, PyObject *kwnames)
+{
+    Port *p = (Port *)op;
+    if (PyVectorcall_NARGS(nargsf) != 1 || kwnames != NULL) {
+        PyErr_SetString(PyExc_TypeError, "send expects one packet handle");
+        return NULL;
+    }
+    if (p->core == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "port is detached from its event core");
+        return NULL;
+    }
+    Py_ssize_t h = PyLong_AsSsize_t(args[0]);
+    long long now;
+    if ((h == -1 && PyErr_Occurred()) || port_now(p, &now) < 0)
+        return NULL;
+    int rc = port_send(p, h, now);
+    if (rc < 0)
+        return NULL;
+    return PyBool_FromLong(rc);
+}
+
+/* enqueue(h) -> bool: queue admission only (DropTailQueue.enqueue). */
+static PyObject *
+Port_enqueue(Port *p, PyObject *arg)
+{
+    Py_ssize_t h = PyLong_AsSsize_t(arg);
+    if (h == -1 && PyErr_Occurred())
+        return NULL;
+    int rc = port_admit(p, h);
+    if (rc < 0)
+        return NULL;
+    return PyBool_FromLong(rc);
+}
+
+/* dequeue() -> handle or None (DropTailQueue.dequeue). */
+static PyObject *
+Port_dequeue(Port *p, PyObject *Py_UNUSED(ignored))
+{
+    Py_ssize_t h;
+    long long wire;
+    int got = port_pop(p, &h, &wire);
+    if (got < 0)
+        return NULL;
+    if (got == 0)
+        Py_RETURN_NONE;
+    return PyLong_FromSsize_t(h);
+}
+
+static Py_ssize_t
+Port_len(PyObject *op)
+{
+    return ((Port *)op)->count;
+}
+
+/* iter(port): the queued handles, head of line first. */
+static PyObject *
+Port_iter(PyObject *op)
+{
+    Port *p = (Port *)op;
+    PyObject *handles = PyList_New(p->count);
+    if (handles == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < p->count; i++) {
+        PyObject *h = PyLong_FromSsize_t(p->ring[(p->head + i) % p->cap]);
+        if (h == NULL) {
+            Py_DECREF(handles);
+            return NULL;
+        }
+        PyList_SET_ITEM(handles, i, h);
+    }
+    PyObject *it = PyObject_GetIter(handles);
+    Py_DECREF(handles);
+    return it;
+}
+
+/* A threshold reads None when disabled. */
+static PyObject *
+threshold_get(char has, long long value)
+{
+    if (!has)
+        Py_RETURN_NONE;
+    return PyLong_FromLongLong(value);
+}
+
+static int
+threshold_set(PyObject *v, char *has, long long *value)
+{
+    if (v == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete a threshold");
+        return -1;
+    }
+    if (v == Py_None) {
+        *has = 0;
+        return 0;
+    }
+    long long x = PyLong_AsLongLong(v);
+    if (x == -1 && PyErr_Occurred())
+        return -1;
+    *has = 1;
+    *value = x;
+    return 0;
+}
+
+static PyObject *
+Port_get_ecn(Port *p, void *Py_UNUSED(c))
+{
+    return threshold_get(p->has_ecn, p->ecn_threshold);
+}
+
+static int
+Port_set_ecn(Port *p, PyObject *v, void *Py_UNUSED(c))
+{
+    return threshold_set(v, &p->has_ecn, &p->ecn_threshold);
+}
+
+static PyObject *
+Port_get_inc(Port *p, void *Py_UNUSED(c))
+{
+    return threshold_get(p->has_inc, p->inc_threshold);
+}
+
+static int
+Port_set_inc(Port *p, PyObject *v, void *Py_UNUSED(c))
+{
+    return threshold_set(v, &p->has_inc, &p->inc_threshold);
+}
+
+static PyGetSetDef Port_getset[] = {
+    {"ecn_threshold_bytes", (getter)Port_get_ecn, (setter)Port_set_ecn, NULL, NULL},
+    {"inc_threshold_bytes", (getter)Port_get_inc, (setter)Port_set_inc, NULL, NULL},
+    {NULL},
+};
+
+#define PORT_LL(name) {#name, T_LONGLONG, offsetof(Port, name), 0, NULL}
+#define PORT_OBJ(name) {#name, T_OBJECT, offsetof(Port, name), 0, NULL}
+
+static PyMemberDef Port_members[] = {
+    PORT_LL(capacity_bytes),
+    PORT_LL(occupancy_bytes),
+    PORT_LL(enqueued_packets),
+    PORT_LL(enqueued_bytes),
+    PORT_LL(dequeued_packets),
+    PORT_LL(dequeued_bytes),
+    PORT_LL(dropped_packets),
+    PORT_LL(dropped_bytes),
+    PORT_LL(marked_packets),
+    PORT_LL(inc_marked_packets),
+    PORT_OBJ(on_drop),
+    PORT_OBJ(on_mark),
+    PORT_OBJ(on_enqueue),
+    {"busy", T_BOOL, offsetof(Port, busy), READONLY, NULL},
+    PORT_LL(tx_packets),
+    PORT_LL(tx_bytes),
+    PORT_LL(rate_bps),
+    PORT_LL(prop_delay_ns),
+    PORT_LL(delivered_packets),
+    PORT_LL(delivered_bytes),
+    PORT_OBJ(arrival),
+    PORT_OBJ(propagate),
+    PORT_OBJ(serialize),
+    {NULL},
+};
+
+static PyMethodDef Port_methods[] = {
+    {"enqueue", (PyCFunction)Port_enqueue, METH_O,
+     "enqueue(h) -> bool: mark and admit (or drop and free) without pumping."},
+    {"dequeue", (PyCFunction)Port_dequeue, METH_NOARGS,
+     "dequeue() -> head-of-line handle, or None when empty."},
+    {NULL, NULL, 0, NULL},
+};
+
+static int
+Port_traverse(Port *p, visitproc visit, void *arg)
+{
+    Py_VISIT(p->core);
+    Py_VISIT(p->sim);
+    Py_VISIT(p->flags);
+    Py_VISIT(p->wire);
+    Py_VISIT(p->pool_free);
+    Py_VISIT(p->on_drop);
+    Py_VISIT(p->on_mark);
+    Py_VISIT(p->on_enqueue);
+    Py_VISIT(p->arrival);
+    Py_VISIT(p->propagate);
+    Py_VISIT(p->serialize);
+    return 0;
+}
+
+static int
+Port_clear(Port *p)
+{
+    Py_CLEAR(p->core);
+    Py_CLEAR(p->sim);
+    Py_CLEAR(p->flags);
+    Py_CLEAR(p->wire);
+    Py_CLEAR(p->pool_free);
+    Py_CLEAR(p->on_drop);
+    Py_CLEAR(p->on_mark);
+    Py_CLEAR(p->on_enqueue);
+    Py_CLEAR(p->arrival);
+    Py_CLEAR(p->propagate);
+    Py_CLEAR(p->serialize);
+    return 0;
+}
+
+static void
+Port_dealloc(Port *p)
+{
+    PyObject_GC_UnTrack(p);
+    Port_clear(p);
+    PyMem_Free(p->ring);
+    Py_TYPE(p)->tp_free((PyObject *)p);
+}
+
+static PySequenceMethods Port_as_sequence = {
+    .sq_length = Port_len,
+};
+
+static PyTypeObject PortType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_evcore.Port",
+    .tp_basicsize = sizeof(Port),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "One egress direction's pump: queue, transmitter and link, owned in C.\n"
+              "Calling the port sends a packet handle; len() and iter() give the queued\n"
+              "handles, head of line first.  Made by EventCore.port().",
+    .tp_vectorcall_offset = offsetof(Port, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_dealloc = (destructor)Port_dealloc,
+    .tp_traverse = (traverseproc)Port_traverse,
+    .tp_clear = (inquiry)Port_clear,
+    .tp_free = PyObject_GC_Del,
+    .tp_iter = Port_iter,
+    .tp_methods = Port_methods,
+    .tp_members = Port_members,
+    .tp_getset = Port_getset,
+    .tp_as_sequence = &Port_as_sequence,
+};
+
+static int
+Demux_traverse(Demux *d, visitproc visit, void *arg)
+{
+    Py_VISIT(d->table);
+    Py_VISIT(d->keys);
+    Py_VISIT(d->fallback);
+    return 0;
+}
+
+static int
+Demux_clear(Demux *d)
+{
+    Py_CLEAR(d->table);
+    Py_CLEAR(d->keys);
+    Py_CLEAR(d->fallback);
+    return 0;
+}
+
+static void
+Demux_dealloc(Demux *d)
+{
+    PyObject_GC_UnTrack(d);
+    Demux_clear(d);
+    Py_TYPE(d)->tp_free((PyObject *)d);
+}
+
+static PyTypeObject DemuxType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_evcore.Demux",
+    .tp_basicsize = sizeof(Demux),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "A switch's or host's arrival demultiplexer; made by EventCore.demux().",
+    .tp_dealloc = (destructor)Demux_dealloc,
+    .tp_traverse = (traverseproc)Demux_traverse,
+    .tp_clear = (inquiry)Demux_clear,
+    .tp_free = PyObject_GC_Del,
+};
+
 /* run(sim, queue, until, limit, noop, freelist_max, evtype)
  *
  * The dispatch loop.  Mirrors Simulator.run()'s per-event pure-Python
@@ -413,7 +1042,8 @@ bump_processed(PyObject *sim, long long n)
  * re-file deferred reschedules), same stop conditions after every
  * callback (_stop, then the event limit), same freelist recycling.  The
  * clock store is skipped when the timestamp repeats, which is observably
- * identical.
+ * identical.  A port's serialization-finish and a demux's arrival run in
+ * C; every other light event calls its Python callback.
  *
  * Returns the number of events processed.
  */
@@ -590,13 +1220,21 @@ EventCore_run(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
         /* -- dispatch ------------------------------------------------ */
         if (take_light) {
             LEntry e;
+            int rc;
             core_pop_entry(self, &e);
-            PyObject *res = PyObject_CallOneArg(e.cb, e.arg);
+            if (e.kind == LK_FINISH) {
+                rc = port_finish((Port *)e.cb, e.h, ev_time);
+            } else if (e.kind == LK_ARRIVE) {
+                rc = demux_deliver((Demux *)e.cb, e.h, ev_time);
+            } else {
+                PyObject *res = PyObject_CallOneArg(e.cb, e.arg);
+                rc = res == NULL ? -1 : 0;
+                Py_XDECREF(res);
+            }
             Py_DECREF(e.cb);
-            Py_DECREF(e.arg);
-            if (res == NULL)
+            Py_XDECREF(e.arg);
+            if (rc < 0)
                 goto error;
-            Py_DECREF(res);
         } else {
             PyObject *entry = obj_heap_pop(heap);
             if (entry == NULL)
@@ -684,6 +1322,61 @@ error:
     return NULL;
 }
 
+/* port(sim, flags, wire, pool_free): a new idle, empty Port on this core.
+ * The caller fills in its queue and link parameters. */
+static PyObject *
+EventCore_port(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError, "port expects (sim, flags, wire, pool_free)");
+        return NULL;
+    }
+    if (!PyByteArray_Check(args[1]) || !PyList_Check(args[2])) {
+        PyErr_SetString(PyExc_TypeError, "port needs the pool's flags bytearray and wire list");
+        return NULL;
+    }
+    Port *p = PyObject_GC_New(Port, &PortType);
+    if (p == NULL)
+        return NULL;
+    /* PyObject_GC_New leaves the body uninitialized. */
+    memset((char *)p + sizeof(PyObject), 0, sizeof(Port) - sizeof(PyObject));
+    p->vectorcall = Port_vectorcall;
+    Py_INCREF(self);
+    p->core = self;
+    Py_INCREF(args[0]);
+    p->sim = args[0];
+    p->now_off = slot_offset(Py_TYPE(args[0]), str_now);
+    Py_INCREF(args[1]);
+    p->flags = args[1];
+    Py_INCREF(args[2]);
+    p->wire = args[2];
+    Py_INCREF(args[3]);
+    p->pool_free = args[3];
+    PyObject_GC_Track(p);
+    return (PyObject *)p;
+}
+
+/* demux(table, keys, fallback): a node's arrival demultiplexer. */
+static PyObject *
+EventCore_demux(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3 || !PyDict_Check(args[0]) || !PyList_Check(args[1])) {
+        PyErr_SetString(PyExc_TypeError, "demux expects (table: dict, keys: list, fallback)");
+        return NULL;
+    }
+    Demux *d = PyObject_GC_New(Demux, &DemuxType);
+    if (d == NULL)
+        return NULL;
+    Py_INCREF(args[0]);
+    d->table = args[0];
+    Py_INCREF(args[1]);
+    d->keys = args[1];
+    Py_INCREF(args[2]);
+    d->fallback = args[2];
+    PyObject_GC_Track(d);
+    return (PyObject *)d;
+}
+
 static PyMethodDef EventCore_methods[] = {
     {"take_seq", (PyCFunction)EventCore_take_seq, METH_NOARGS,
      "Consume and return the next global sequence number."},
@@ -695,6 +1388,10 @@ static PyMethodDef EventCore_methods[] = {
      "Drop all pending light events."},
     {"run", (PyCFunction)(void (*)(void))EventCore_run, METH_FASTCALL,
      "Dispatch events until idle or a stop condition; returns count."},
+    {"port", (PyCFunction)(void (*)(void))EventCore_port, METH_FASTCALL,
+     "port(sim, flags, wire, pool_free): a native output port on this core."},
+    {"demux", (PyCFunction)(void (*)(void))EventCore_demux, METH_FASTCALL,
+     "demux(table, keys, fallback): a node's native arrival demultiplexer."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -707,7 +1404,7 @@ static PyTypeObject EventCoreType = {
     .tp_name = "_evcore.EventCore",
     .tp_basicsize = sizeof(EventCore),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Native light-event heap + fused dispatch loop.",
+    .tp_doc = "Native light-event heap, fused dispatch loop and port factory.",
     .tp_new = EventCore_new,
     .tp_dealloc = (destructor)EventCore_dealloc,
     .tp_traverse = (traverseproc)EventCore_traverse,
@@ -751,7 +1448,8 @@ PyInit__evcore(void)
     empty_tuple = PyTuple_New(0);
     if (long_minus_one == NULL || empty_tuple == NULL)
         return NULL;
-    if (PyType_Ready(&EventCoreType) < 0)
+    if (PyType_Ready(&EventCoreType) < 0 || PyType_Ready(&PortType) < 0 ||
+        PyType_Ready(&DemuxType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&evcore_module);
     if (m == NULL)

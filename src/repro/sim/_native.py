@@ -2,11 +2,15 @@
 
 The native event core (see ``_evcore.c``) is a pure accelerator: it owns
 the light-event heap and the fused dispatch loop, with event ordering
-bit-for-bit identical to the pure-Python engine.  Because this repo ships
-as source, the extension is compiled **on demand** with the host C
-toolchain the first time a :class:`~repro.sim.engine.Simulator` wants it,
-and cached under ``_build/`` keyed by a hash of the C source (so editing
-``_evcore.c`` transparently rebuilds).
+bit-for-bit identical to the pure-Python engine, and the ports that run
+the store-and-forward hop (``EventCore.port``, wrapped by
+:mod:`repro.net.port`) with arrivals demultiplexed in C.  Because this
+repo ships as source, the extension is compiled **on demand** with the
+host C toolchain the first time a :class:`~repro.sim.engine.Simulator`
+wants it, and cached at :func:`build_path` — ``_build/`` keyed by a hash
+of the C source, so editing ``_evcore.c`` transparently rebuilds.  A
+build placed at that path beforehand is loaded as is; CI's sanitizer job
+puts an ASan/UBSan build there.
 
 Everything here fails *soft*: no compiler, no headers, a build error, or
 ``REPRO_NATIVE=0`` in the environment all yield ``core_factory() ->
@@ -28,6 +32,8 @@ from typing import Optional
 #: Environment opt-out: set to ``0``/``false``/``off``/``no`` to force the
 #: pure-Python engine (checked per call, so tests can flip it at runtime).
 NATIVE_ENV = "REPRO_NATIVE"
+
+_SOURCE = Path(__file__).with_name("_evcore.c")
 
 _factory = None  # the EventCore type once loaded
 _build_attempted = False
@@ -58,19 +64,22 @@ def _build_dir() -> Path:
         return fallback
 
 
-def _compile_and_load():
-    source = Path(__file__).with_name("_evcore.c")
-    code = source.read_bytes()
-    tag = hashlib.sha256(code).hexdigest()[:16]
+def build_path() -> Path:
+    """Where the compiled extension for the current ``_evcore.c`` lives."""
+    tag = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    out = _build_dir() / f"_evcore-{tag}{suffix}"
+    return _build_dir() / f"_evcore-{tag}{suffix}"
+
+
+def _compile_and_load():
+    out = build_path()
     if not out.exists():
         cc = os.environ.get("CC", "cc")
         include = sysconfig.get_paths()["include"]
         # Compile to a private name, then atomically publish: concurrent
         # test workers may race to build the same cache entry.
         tmp = out.with_name(out.name + f".tmp-{os.getpid()}")
-        cmd = [cc, "-O2", "-fPIC", "-shared", f"-I{include}", str(source), "-o", str(tmp)]
+        cmd = [cc, "-O2", "-fPIC", "-shared", f"-I{include}", str(_SOURCE), "-o", str(tmp)]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=180)
         if proc.returncode != 0:
             raise RuntimeError(f"cc failed: {proc.stderr.strip()[:500]}")

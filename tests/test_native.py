@@ -240,18 +240,35 @@ def test_native_request_stop_then_resume_drains_the_rest():
 
 @requires_native
 def test_finished_native_simulation_is_collected():
-    """The C core is GC-tracked: pending light events hold bound methods of
-    components that point back at the Simulator, and that cycle must not
-    keep a finished simulation alive."""
+    """The C core, ports and demuxes are GC-tracked: pending light events
+    hold ports and bound methods of components that point back at the
+    Simulator, and those cycles must not keep a finished simulation alive —
+    not even one stopped with packets still queued and on the wire."""
     import gc
 
     from repro.exec.scenario import ScenarioSpec, run_scenario
+    from repro.net.topology import topology_builder
+    from repro.workloads.incast import IncastWorkload
 
-    def live_simulators():
-        return {id(o) for o in gc.get_objects() if isinstance(o, Simulator)}
+    def live():
+        return {
+            id(o)
+            for o in gc.get_objects()
+            if isinstance(o, Simulator) or type(o).__module__ == "_evcore"
+        }
 
     gc.collect()
-    before = live_simulators()
+    before = live()
     run_scenario(ScenarioSpec.create("dctcp", 16, rounds=2, seed=1))
+
+    spec = ScenarioSpec.create("dctcp", 64, rounds=1, seed=1)
+    sim = Simulator(seed=spec.seed)
+    tree = topology_builder(spec.topology)(sim, spec.topology_params())
+    workload = IncastWorkload(sim, tree, spec.protocol_spec(), spec.incast_config())
+    workload.start()
+    sim.run(max_events=5_000)
+    port = tree.bottleneck_port
+    assert len(port.queue) > 0 and port._busy  # stopped mid-burst
+    del sim, tree, workload, port
     gc.collect()
-    assert not live_simulators() - before
+    assert not live() - before
