@@ -31,6 +31,13 @@ regression test established for events).
 Columns grow **in place** (``extend`` — never reassignment), so column
 references bound at component construction stay valid across growth.
 
+Under the native event core the simulator's pool is a
+:class:`_NativePool`: the same columns, freelist and liveness bytes, with
+``alloc_data``/``alloc_ack``/``alloc_control``/``free`` bound to one C
+implementation of this lifecycle (``_evcore.Pool``: same LIFO order,
+same in-place doubling, same :class:`PoolError`), which the native ports
+and receivers also use.  :class:`PacketPool` stays the reference.
+
 The pool is simulator-owned (``sim.pool``), created lazily by
 :meth:`PacketPool.of` so the engine never imports the net layer.
 """
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ..sim._native import through
 from .packet import ACK_BYTES, HEADER_BYTES, Packet, UNASSIGNED_PACKET_ID
 
 #: Flag bits packed into the ``flags`` column (one byte per packet).
@@ -149,6 +157,10 @@ class PacketView:
         )
 
 
+#: The pool's scalar bookkeeping (the native pool keeps it in C).
+_COUNTERS = ("capacity", "allocated_total", "freed_total")
+
+
 class PacketPool:
     """Recycled-handle flyweight storage for every packet in one simulation."""
 
@@ -191,10 +203,14 @@ class PacketPool:
 
     @classmethod
     def of(cls, sim) -> "PacketPool":
-        """The simulator's pool, created (and attached) on first use."""
+        """The simulator's pool, created (and attached) on first use.
+
+        Under the native event core it is a :class:`_NativePool`.
+        """
         pool = sim.pool
         if pool is None:
-            pool = sim.pool = cls()
+            core = sim._core
+            pool = sim.pool = cls() if core is None else _NativePool(core)
         return pool
 
     # -- capacity ---------------------------------------------------------------
@@ -357,3 +373,38 @@ class PacketPool:
             f"PacketPool(capacity={self.capacity}, live={self.live_count}, "
             f"allocated={self.allocated_total}, freed={self.freed_total})"
         )
+
+
+#: What the native pool shares with the C core: the columns, liveness and
+#: the freelist.
+_COLUMNS = tuple(n for n in PacketPool.__slots__ if n not in _COUNTERS)
+
+
+class _NativePool(PacketPool):
+    """A :class:`PacketPool` whose handle lifecycle runs in the native core.
+
+    ``alloc_data``/``alloc_ack``/``alloc_control``/``free`` (and growth)
+    are bound to one C implementation (``_evcore.Pool``) working on these
+    same columns, freelist and liveness bytes; ``capacity`` and the
+    allocated/freed totals read through to it.
+    """
+
+    __slots__ = ("_ops", "alloc_data", "alloc_ack", "alloc_control", "free", "_grow")
+
+    def __init__(self, core, capacity: int = DEFAULT_CAPACITY):
+        reference = PacketPool(capacity)
+        for name in _COLUMNS:
+            setattr(self, name, getattr(reference, name))
+        ops = self._ops = core.pool(
+            reference, PoolError, HEADER_BYTES, ACK_BYTES, UNASSIGNED_PACKET_ID
+        )
+        self.alloc_data = ops.alloc_data
+        self.alloc_ack = ops.alloc_ack
+        self.alloc_control = ops.alloc_control
+        self.free = ops.free
+        self._grow = ops.grow
+
+
+for _field in _COUNTERS:
+    setattr(_NativePool, _field, through("_ops", _field))
+del _field

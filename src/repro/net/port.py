@@ -12,8 +12,9 @@ There are two pumps with one behaviour:
   ``queue.enqueue``, serialization-finish calls ``link.propagate`` and
   ``queue.dequeue``.  It runs on the pure-Python engine, and under the
   native core for queue subclasses (the shared-buffer switch), queues
-  whose methods were swapped (the validate fuzzer's mutations), and
-  queues that already hold packets.
+  whose methods were swapped (the validate fuzzer's mutations), queues
+  that already hold packets, and queues over a pool other than the
+  simulator's native one.
 - Everywhere else under the native core, ``OutputPort(...)`` builds a
   :class:`_NativePort`: a C port (``_evcore.Port``) owns the FIFO, the
   admission and ECN/INC marking, the transmitter and the link's delays and
@@ -30,8 +31,10 @@ There are two pumps with one behaviour:
 
 from __future__ import annotations
 
+from ..sim._native import through
 from ..sim.engine import Simulator
 from .link import Link
+from .pool import _NativePool
 from .queues import DropTailQueue
 
 # Captured at import: a queue still running exactly these methods can hand
@@ -70,6 +73,7 @@ class OutputPort:
             cls is OutputPort
             and sim._core is not None
             and queue.__class__ is DropTailQueue
+            and queue.pool.__class__ is _NativePool
             and DropTailQueue.enqueue is _PRISTINE_ENQUEUE
             and DropTailQueue.dequeue is _PRISTINE_DEQUEUE
             and not queue._queue
@@ -151,8 +155,7 @@ class _NativePort(OutputPort):
         self.sim = sim
         self.queue = queue
         self.name = name
-        pool = queue.pool
-        port = self.send = sim._core.port(sim, pool.flags, pool.wire_bytes, pool.free)
+        port = self.send = sim._core.port(sim, queue.pool._ops)
         for field in _QUEUE_STATE:
             setattr(port, field, getattr(queue, field))
         # The C port is the queue's FIFO from now on.
@@ -207,18 +210,6 @@ def _arrival(core, dst):
     return dst.receive
 
 
-def _through(owner: str, field: str) -> property:
-    """Attribute ``field`` stored on the native port held in slot ``owner``."""
-
-    def get(self):
-        return getattr(getattr(self, owner), field)
-
-    def set(self, value):
-        setattr(getattr(self, owner), field, value)
-
-    return property(get, set)
-
-
 class _PortQueue(DropTailQueue):
     """A :class:`DropTailQueue` whose FIFO and state a native port owns."""
 
@@ -238,7 +229,7 @@ class _PortLink(Link):
 
 
 for _field in _QUEUE_STATE:
-    setattr(_PortQueue, _field, _through("_queue", _field))
+    setattr(_PortQueue, _field, through("_queue", _field))
 for _field in _LINK_STATE:
-    setattr(_PortLink, _field, _through("_port", _field))
+    setattr(_PortLink, _field, through("_port", _field))
 del _field

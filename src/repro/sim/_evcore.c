@@ -1,7 +1,8 @@
 /* _evcore: native event core for the repro discrete-event simulator.
  *
- * Three jobs, all bit-compatible with the pure-Python engine and pump in
- * repro/sim/engine.py and repro/net/port.py (which remain the ground
+ * Four jobs, all bit-compatible with the pure-Python engine, pump, pool
+ * and receiver in repro/sim/engine.py, repro/net/port.py,
+ * repro/net/pool.py and repro/tcp/receiver.py (which remain the ground
  * truth and the fallback):
  *
  * 1. A binary heap of *light events* — one-shot, never-cancelled
@@ -21,9 +22,19 @@
  *    it *is* the port's send.  Its serialization-finish and the
  *    propagation-arrival it schedules are light events on the same heap
  *    under the same (time, seq) keys; an arrival at a switch or host is
- *    demultiplexed in C by a Demux over the node's live forwarding table,
- *    so a packet only re-enters Python at an endpoint's on_packet (or an
- *    installed queue hook, or a Link subclass's propagate).
+ *    demultiplexed in C by a Demux over the node's live forwarding table.
+ *
+ * 4. The receive path.  A Pool runs the packet pool's handle lifecycle
+ *    (alloc_data / alloc_ack / alloc_control / free, growth) on the
+ *    pool's own Python columns, freelist and liveness bytes; ports free
+ *    their drops through it.  A Receiver does a plain TcpReceiver's whole
+ *    on_packet — reassembly over its out-of-order dict, the ledger's
+ *    rcv_nxt/bytes_delivered, the cumulative ACK with the per-segment CE
+ *    echo and the one-shot INC echo, sent through the host's NIC Port —
+ *    and is itself the host demux's target.  So a data segment re-enters
+ *    Python only at on_data/on_complete callbacks (or an installed queue
+ *    hook, or a Link subclass's propagate), and an ACK only at its
+ *    sender's on_packet.
  *
  * Ordering is *provably* identical to the pure path: both heaps draw
  * sequence numbers from one shared counter (owned here in native mode),
@@ -165,8 +176,8 @@ core_pop_entry(EventCore *self, LEntry *out)
 
 static PyObject *str_now, *str_stop, *str_heap, *str_free, *str_live;
 static PyObject *str_cancelled, *str_deadline, *str_time, *str_seq;
-static PyObject *str_dseq, *str_callback, *str_args, *str_processed;
-static PyObject *long_minus_one, *empty_tuple;
+static PyObject *str_dseq, *str_callback, *str_args, *str_processed, *str_packet_seq;
+static PyObject *long_minus_one, *long_zero, *empty_tuple;
 
 /* ------------------------------------------------------------------ */
 /* __slots__ member offsets, resolved once per run() call.             */
@@ -434,6 +445,401 @@ bump_processed(PyObject *sim, long long n)
 }
 
 /* ------------------------------------------------------------------ */
+/* Pool: the packet pool's handle lifecycle, on the pool's own columns. *
+ *                                                                    *
+ * Mirrors repro/net/pool.py's PacketPool.alloc_data / alloc_ack /    *
+ * alloc_control / free / _grow step for step over the same Python     *
+ * columns, LIFO freelist and liveness bytearray, so it hands out the  *
+ * handle sequence the Python pool would.  The capacity and the        *
+ * allocated/freed totals live here; the native pool reads them        *
+ * through.                                                           */
+
+/* Packet flag bits (repro.net.pool). */
+#define F_ACK 1
+#define F_ECT 2
+#define F_CE 4
+#define F_ECE 8
+#define F_INC 16
+#define F_RETX 32
+
+/* The integer columns, in the order PacketPool declares them. */
+enum { COL_FLOW, COL_SRC, COL_DST, COL_SEQ, COL_LEN, COL_ACK, COL_WIRE, COL_PID, N_COLS };
+
+static const char *const pool_columns[N_COLS] = {
+    "flow_id", "src", "dst", "seq", "payload_len", "ack_seq", "wire_bytes", "packet_id",
+};
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *cols[N_COLS];  /* owned lists, indexed by handle */
+    PyObject *flags, *live;  /* owned bytearrays */
+    PyObject *free;          /* owned list: the LIFO freelist */
+    PyObject *error;         /* PoolError */
+    PyObject *unassigned;    /* packet_id of a slot never allocated */
+    PyObject *ack_wire;      /* a pure ACK's wire size */
+    long long header_bytes;  /* a data segment's wire overhead */
+    long long capacity, allocated_total, freed_total;
+} Pool;
+
+static PyTypeObject PoolType;
+
+/* A bytearray's bytes.  Re-derived on every access: growth, or Python
+ * code run by a hook, can move the buffer. */
+#define BYTES(ba) ((unsigned char *)PyByteArray_AS_STRING(ba))
+
+/* Does handle h index every column?  They grow together, but a column
+ * rebound from Python could break that, so it is checked. */
+static int
+pool_check(Pool *p, Py_ssize_t h)
+{
+    size_t uh = (size_t)h;
+    if (p->free == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "packet pool was cleared");
+        return -1;
+    }
+    for (int i = 0; i < N_COLS; i++) {
+        if (uh >= (size_t)PyList_GET_SIZE(p->cols[i]))
+            goto out_of_range;
+    }
+    if (uh < (size_t)PyByteArray_GET_SIZE(p->flags) && uh < (size_t)PyByteArray_GET_SIZE(p->live))
+        return 0;
+out_of_range:
+    PyErr_Format(PyExc_IndexError, "packet handle %zd out of range", h);
+    return -1;
+}
+
+/* Column c of handle h as a C integer (h already checked). */
+static inline int
+pool_get(Pool *p, int c, Py_ssize_t h, long long *out)
+{
+    *out = PyLong_AsLongLong(PyList_GET_ITEM(p->cols[c], h));
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* PacketPool._grow: double every column in place, so references bound
+ * to them stay valid; the new handles join the freelist highest first,
+ * so the lowest is allocated next. */
+static int
+pool_grow(Pool *p)
+{
+    Py_ssize_t old = (Py_ssize_t)p->capacity;
+    if (old <= 0) {
+        PyErr_Format(PyExc_ValueError, "pool capacity must be positive, got %zd", old);
+        return -1;
+    }
+    for (int i = 0; i < N_COLS; i++) {
+        PyObject *fill = i == COL_PID ? p->unassigned : long_zero;
+        PyObject *ext = PyList_New(old);
+        if (ext == NULL)
+            return -1;
+        for (Py_ssize_t j = 0; j < old; j++) {
+            Py_INCREF(fill);
+            PyList_SET_ITEM(ext, j, fill);
+        }
+        Py_ssize_t n = PyList_GET_SIZE(p->cols[i]);
+        int rc = PyList_SetSlice(p->cols[i], n, n, ext);
+        Py_DECREF(ext);
+        if (rc < 0)
+            return -1;
+    }
+    PyObject *bytes[2] = {p->flags, p->live};
+    for (int i = 0; i < 2; i++) {
+        Py_ssize_t n = PyByteArray_GET_SIZE(bytes[i]);
+        if (PyByteArray_Resize(bytes[i], n + old) < 0)
+            return -1;
+        memset(PyByteArray_AS_STRING(bytes[i]) + n, 0, (size_t)old);
+    }
+    p->capacity = 2 * (long long)old;
+    for (Py_ssize_t h = 2 * old - 1; h >= old; h--) {
+        PyObject *boxed = PyLong_FromSsize_t(h);
+        if (boxed == NULL)
+            return -1;
+        int rc = PyList_Append(p->free, boxed);
+        Py_DECREF(boxed);
+        if (rc < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* The common body of PacketPool.alloc_*: pop the most recently freed
+ * handle (growing first when none is free), store vals (borrowed) in its
+ * columns and mark it live.  Returns the handle, or -1 with an exception
+ * set. */
+static Py_ssize_t
+pool_alloc(Pool *p, PyObject *vals[N_COLS], unsigned char flags)
+{
+    if (p->free == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "packet pool was cleared");
+        return -1;
+    }
+    Py_ssize_t n = PyList_GET_SIZE(p->free);
+    if (n == 0) {
+        if (pool_grow(p) < 0)
+            return -1;
+        n = PyList_GET_SIZE(p->free);
+    }
+    Py_ssize_t h = PyLong_AsSsize_t(PyList_GET_ITEM(p->free, n - 1));
+    if ((h == -1 && PyErr_Occurred()) || pool_check(p, h) < 0)
+        return -1;
+    if (PyList_SetSlice(p->free, n - 1, n, NULL) < 0)
+        return -1;
+    for (int i = 0; i < N_COLS; i++) {
+        PyObject *col = p->cols[i];
+        PyObject *old = PyList_GET_ITEM(col, h);
+        Py_INCREF(vals[i]);
+        PyList_SET_ITEM(col, h, vals[i]);
+        Py_DECREF(old);
+    }
+    BYTES(p->flags)[h] = flags;
+    BYTES(p->live)[h] = 1;
+    p->allocated_total += 1;
+    return h;
+}
+
+/* PacketPool.free: liveness is always checked, so a double free or a
+ * stale handle raises PoolError at the operation that went wrong. */
+static int
+pool_release(Pool *p, Py_ssize_t h)
+{
+    if (p->free == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "packet pool was cleared");
+        return -1;
+    }
+    if ((size_t)h >= (size_t)PyByteArray_GET_SIZE(p->live)) {
+        PyErr_Format(PyExc_IndexError, "packet handle %zd out of range", h);
+        return -1;
+    }
+    unsigned char *live = BYTES(p->live);
+    if (!live[h]) {
+        PyErr_Format(p->error,
+                     "free of dead packet handle %zd "
+                     "(double free, or a stale handle kept past its lifetime)",
+                     h);
+        return -1;
+    }
+    live[h] = 0;
+    p->freed_total += 1;
+    PyObject *boxed = PyLong_FromSsize_t(h);
+    if (boxed == NULL)
+        return -1;
+    int rc = PyList_Append(p->free, boxed);
+    Py_DECREF(boxed);
+    return rc;
+}
+
+/* Bind fastcall arguments, positional or by keyword, to `names` (all
+ * required); out[] receives borrowed references. */
+static int
+bind_args(const char *fname, const char *const *names, int n, PyObject *const *args,
+          Py_ssize_t nargs, PyObject *kwnames, PyObject **out)
+{
+    if (nargs > n) {
+        PyErr_Format(PyExc_TypeError, "%s() takes %d arguments (%zd given)", fname, n, nargs);
+        return -1;
+    }
+    for (int i = 0; i < n; i++)
+        out[i] = i < nargs ? args[i] : NULL;
+    Py_ssize_t nkw = kwnames == NULL ? 0 : PyTuple_GET_SIZE(kwnames);
+    for (Py_ssize_t k = 0; k < nkw; k++) {
+        PyObject *key = PyTuple_GET_ITEM(kwnames, k);
+        int i = 0;
+        while (i < n && PyUnicode_CompareWithASCIIString(key, names[i]) != 0)
+            i++;
+        if (i == n) {
+            PyErr_Format(PyExc_TypeError, "%s() got an unexpected keyword argument '%U'", fname,
+                         key);
+            return -1;
+        }
+        if (out[i] != NULL) {
+            PyErr_Format(PyExc_TypeError, "%s() got multiple values for argument '%s'", fname,
+                         names[i]);
+            return -1;
+        }
+        out[i] = args[nargs + k];
+    }
+    for (int i = 0; i < n; i++) {
+        if (out[i] == NULL) {
+            PyErr_Format(PyExc_TypeError, "%s() missing required argument '%s'", fname,
+                         names[i]);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* Two truth values as flag bits; -1 with an exception set. */
+static int
+flag_bits(PyObject *a, int bit_a, PyObject *b, int bit_b)
+{
+    int ta = PyObject_IsTrue(a), tb = PyObject_IsTrue(b);
+    if (ta < 0 || tb < 0)
+        return -1;
+    return (ta ? bit_a : 0) | (tb ? bit_b : 0);
+}
+
+static PyObject *
+handle_or_null(Py_ssize_t h)
+{
+    return h < 0 ? NULL : PyLong_FromSsize_t(h);
+}
+
+static const char *const alloc_data_names[] = {
+    "flow_id", "src", "dst", "seq", "payload_len", "ect", "is_retransmit", "packet_id",
+};
+
+/* alloc_data(flow_id, src, dst, seq, payload_len, ect, is_retransmit, packet_id) */
+static PyObject *
+Pool_alloc_data(Pool *p, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames)
+{
+    PyObject *a[8];
+    if (bind_args("alloc_data", alloc_data_names, 8, args, nargs, kwnames, a) < 0)
+        return NULL;
+    int flags = flag_bits(a[5], F_ECT, a[6], F_RETX);
+    if (flags < 0)
+        return NULL;
+    long long payload = PyLong_AsLongLong(a[4]);
+    if (payload == -1 && PyErr_Occurred())
+        return NULL;
+    PyObject *wire = PyLong_FromLongLong(payload + p->header_bytes);
+    if (wire == NULL)
+        return NULL;
+    PyObject *vals[N_COLS] = {a[0], a[1], a[2], a[3], a[4], long_zero, wire, a[7]};
+    Py_ssize_t h = pool_alloc(p, vals, (unsigned char)flags);
+    Py_DECREF(wire);
+    return handle_or_null(h);
+}
+
+static const char *const alloc_ack_names[] = {
+    "flow_id", "src", "dst", "ack_seq", "ece", "inc", "packet_id",
+};
+
+/* alloc_ack(flow_id, src, dst, ack_seq, ece, inc, packet_id) */
+static PyObject *
+Pool_alloc_ack(Pool *p, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames)
+{
+    PyObject *a[7];
+    if (bind_args("alloc_ack", alloc_ack_names, 7, args, nargs, kwnames, a) < 0)
+        return NULL;
+    int flags = flag_bits(a[4], F_ECE, a[5], F_INC);
+    if (flags < 0)
+        return NULL;
+    PyObject *vals[N_COLS] = {a[0], a[1], a[2], long_zero, long_zero, a[3], p->ack_wire, a[6]};
+    return handle_or_null(pool_alloc(p, vals, (unsigned char)(F_ACK | flags)));
+}
+
+static const char *const alloc_control_names[] = {
+    "flow_id", "src", "dst", "wire_bytes", "packet_id",
+};
+
+/* alloc_control(flow_id, src, dst, wire_bytes, packet_id) */
+static PyObject *
+Pool_alloc_control(Pool *p, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames)
+{
+    PyObject *a[5];
+    if (bind_args("alloc_control", alloc_control_names, 5, args, nargs, kwnames, a) < 0)
+        return NULL;
+    PyObject *vals[N_COLS] = {a[0], a[1], a[2], long_zero, long_zero, long_zero, a[3], a[4]};
+    return handle_or_null(pool_alloc(p, vals, 0));
+}
+
+static PyObject *
+Pool_free(Pool *p, PyObject *arg)
+{
+    Py_ssize_t h = PyLong_AsSsize_t(arg);
+    if ((h == -1 && PyErr_Occurred()) || pool_release(p, h) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Pool_grow(Pool *p, PyObject *Py_UNUSED(ignored))
+{
+    if (p->free == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "packet pool was cleared");
+        return NULL;
+    }
+    if (pool_grow(p) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+#define POOL_LL(name) {#name, T_LONGLONG, offsetof(Pool, name), 0, NULL}
+
+static PyMemberDef Pool_members[] = {
+    POOL_LL(capacity),
+    POOL_LL(allocated_total),
+    POOL_LL(freed_total),
+    {NULL},
+};
+
+#define FASTCALL_KW(fn) (PyCFunction)(void (*)(void))(fn), METH_FASTCALL | METH_KEYWORDS
+
+static PyMethodDef Pool_methods[] = {
+    {"alloc_data", FASTCALL_KW(Pool_alloc_data),
+     "alloc_data(flow_id, src, dst, seq, payload_len, ect, is_retransmit, packet_id) -> handle"},
+    {"alloc_ack", FASTCALL_KW(Pool_alloc_ack),
+     "alloc_ack(flow_id, src, dst, ack_seq, ece, inc, packet_id) -> handle"},
+    {"alloc_control", FASTCALL_KW(Pool_alloc_control),
+     "alloc_control(flow_id, src, dst, wire_bytes, packet_id) -> handle"},
+    {"free", (PyCFunction)Pool_free, METH_O,
+     "free(h): return a live handle to the freelist (PoolError if it is not live)."},
+    {"grow", (PyCFunction)Pool_grow, METH_NOARGS,
+     "grow(): double every column in place."},
+    {NULL, NULL, 0, NULL},
+};
+
+static int
+Pool_traverse(Pool *p, visitproc visit, void *arg)
+{
+    for (int i = 0; i < N_COLS; i++)
+        Py_VISIT(p->cols[i]);
+    Py_VISIT(p->flags);
+    Py_VISIT(p->live);
+    Py_VISIT(p->free);
+    Py_VISIT(p->error);
+    Py_VISIT(p->unassigned);
+    Py_VISIT(p->ack_wire);
+    return 0;
+}
+
+static int
+Pool_clear(Pool *p)
+{
+    for (int i = 0; i < N_COLS; i++)
+        Py_CLEAR(p->cols[i]);
+    Py_CLEAR(p->flags);
+    Py_CLEAR(p->live);
+    Py_CLEAR(p->free);
+    Py_CLEAR(p->error);
+    Py_CLEAR(p->unassigned);
+    Py_CLEAR(p->ack_wire);
+    return 0;
+}
+
+static void
+Pool_dealloc(Pool *p)
+{
+    PyObject_GC_UnTrack(p);
+    Pool_clear(p);
+    Py_TYPE(p)->tp_free((PyObject *)p);
+}
+
+static PyTypeObject PoolType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_evcore.Pool",
+    .tp_basicsize = sizeof(Pool),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "A packet pool's alloc/free over its Python columns; made by EventCore.pool().",
+    .tp_dealloc = (destructor)Pool_dealloc,
+    .tp_traverse = (traverseproc)Pool_traverse,
+    .tp_clear = (inquiry)Pool_clear,
+    .tp_free = PyObject_GC_Del,
+    .tp_methods = Pool_methods,
+    .tp_members = Pool_members,
+};
+
+/* ------------------------------------------------------------------ */
 /* Port: one egress direction's store-and-forward pump, state in C.   *
  *                                                                    *
  * Mirrors repro/net/port.py's Python pump over a DropTailQueue and a *
@@ -443,20 +849,13 @@ bump_processed(PyObject *sim, long long n)
  * the state through members named after the DropTailQueue, OutputPort *
  * and Link attributes they back.                                     */
 
-/* Packet flag bits (repro.net.pool). */
-#define F_ECT 2
-#define F_CE 4
-#define F_INC 16
-
 typedef struct {
     PyObject_HEAD
     vectorcallfunc vectorcall;  /* calling the port is its send(h) */
     EventCore *core;            /* owned */
     PyObject *sim;              /* owned: the clock is sim.now */
     Py_ssize_t now_off;         /* __slots__ offset of sim.now, or -1 */
-    PyObject *flags;            /* pool.flags (bytearray) */
-    PyObject *wire;             /* pool.wire_bytes (list of int) */
-    PyObject *pool_free;        /* pool.free: a dropped packet ends here */
+    Pool *pool;                 /* owned: the packets' columns; drops are freed here */
     /* FIFO of queued handles: a ring buffer */
     Py_ssize_t *ring;
     Py_ssize_t head, count, cap;
@@ -493,6 +892,9 @@ typedef struct {
 
 static PyTypeObject PortType;
 static PyTypeObject DemuxType;
+static PyTypeObject ReceiverType;
+typedef struct Receiver Receiver;
+static int receiver_deliver(Receiver *r, Py_ssize_t h, long long now);
 
 /* An optional object member: NULL and None both mean unset. */
 #define IS_SET(obj) ((obj) != NULL && (obj) != Py_None)
@@ -515,35 +917,28 @@ call_with_handle(PyObject *fn, Py_ssize_t h)
 static int
 port_wire(Port *p, Py_ssize_t h, long long *out)
 {
-    if ((size_t)h >= (size_t)PyList_GET_SIZE(p->wire) ||
-        (size_t)h >= (size_t)PyByteArray_GET_SIZE(p->flags)) {
-        PyErr_Format(PyExc_IndexError, "packet handle %zd out of range", h);
+    if (pool_check(p->pool, h) < 0)
         return -1;
-    }
-    long long w = PyLong_AsLongLong(PyList_GET_ITEM(p->wire, h));
-    if (w == -1 && PyErr_Occurred())
-        return -1;
-    *out = w;
-    return 0;
+    return pool_get(p->pool, COL_WIRE, h, out);
 }
 
-/* The flag byte of handle h.  Re-derived on every access: a hook may run
- * Python code that grows the pool, which can move the bytearray. */
-#define PORT_FLAGS(p) ((unsigned char *)PyByteArray_AS_STRING((p)->flags))
+/* The flag byte of handle h (see BYTES). */
+#define PORT_FLAGS(p) BYTES((p)->pool->flags)
 
+/* sim.now as a C integer; `off` is its __slots__ offset, or -1. */
 static int
-port_now(Port *p, long long *out)
+sim_now(PyObject *sim, Py_ssize_t off, long long *out)
 {
     PyObject *now;
-    if (p->now_off >= 0) {
-        now = SLOT(p->sim, p->now_off);
+    if (off >= 0) {
+        now = SLOT(sim, off);
         if (now == NULL) {
             PyErr_SetObject(PyExc_AttributeError, str_now);
             return -1;
         }
         Py_INCREF(now);
     } else {
-        now = PyObject_GetAttr(p->sim, str_now);
+        now = PyObject_GetAttr(sim, str_now);
         if (now == NULL)
             return -1;
     }
@@ -631,7 +1026,7 @@ port_admit(Port *p, Py_ssize_t h)
         p->dropped_bytes += wire;
         if (IS_SET(p->on_drop) && call_with_handle(p->on_drop, h) < 0)
             return -1;
-        return call_with_handle(p->pool_free, h);
+        return pool_release(p->pool, h);
     }
     if (ring_push(p, h) < 0)
         return -1;
@@ -751,6 +1146,8 @@ demux_deliver(Demux *d, Py_ssize_t h, long long now)
     Py_INCREF(target);  /* the call may unregister it */
     if (Py_TYPE(target) == &PortType)
         rc = port_send((Port *)target, h, now) < 0 ? -1 : 0;
+    else if (Py_TYPE(target) == &ReceiverType)
+        rc = receiver_deliver((Receiver *)target, h, now);
     else
         rc = call_with_handle(target, h);
     Py_DECREF(target);
@@ -771,7 +1168,7 @@ Port_vectorcall(PyObject *op, PyObject *const *args, size_t nargsf, PyObject *kw
     }
     Py_ssize_t h = PyLong_AsSsize_t(args[0]);
     long long now;
-    if ((h == -1 && PyErr_Occurred()) || port_now(p, &now) < 0)
+    if ((h == -1 && PyErr_Occurred()) || sim_now(p->sim, p->now_off, &now) < 0)
         return NULL;
     int rc = port_send(p, h, now);
     if (rc < 0)
@@ -934,9 +1331,7 @@ Port_traverse(Port *p, visitproc visit, void *arg)
 {
     Py_VISIT(p->core);
     Py_VISIT(p->sim);
-    Py_VISIT(p->flags);
-    Py_VISIT(p->wire);
-    Py_VISIT(p->pool_free);
+    Py_VISIT(p->pool);
     Py_VISIT(p->on_drop);
     Py_VISIT(p->on_mark);
     Py_VISIT(p->on_enqueue);
@@ -951,9 +1346,7 @@ Port_clear(Port *p)
 {
     Py_CLEAR(p->core);
     Py_CLEAR(p->sim);
-    Py_CLEAR(p->flags);
-    Py_CLEAR(p->wire);
-    Py_CLEAR(p->pool_free);
+    Py_CLEAR(p->pool);
     Py_CLEAR(p->on_drop);
     Py_CLEAR(p->on_mark);
     Py_CLEAR(p->on_enqueue);
@@ -1033,6 +1426,502 @@ static PyTypeObject DemuxType = {
     .tp_traverse = (traverseproc)Demux_traverse,
     .tp_clear = (inquiry)Demux_clear,
     .tp_free = PyObject_GC_Del,
+};
+
+/* ------------------------------------------------------------------ */
+/* Receiver: a TcpReceiver's per-segment work, state in C.             *
+ *                                                                    *
+ * Mirrors repro/tcp/receiver.py's TcpReceiver.on_packet / _buffer /   *
+ * _advance / _ack_policy / _send_ack step for step: the same          *
+ * counters, the same operations on the same out-of-order dict (so its *
+ * iteration order, and with it the partial-overlap scan, is the       *
+ * Python receiver's), the same ledger columns, and the ACK allocated  *
+ * from the same Pool with a packet id drawn from sim._packet_seq.     *
+ * Calling the receiver *is* its on_packet; Python is re-entered only  *
+ * for on_data, on_complete, and a send that is not a native Port.     */
+
+struct Receiver {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;      /* calling the receiver is on_packet(h) */
+    PyObject *owner;                /* owned: the TcpReceiver, on_complete's argument */
+    PyObject *sim;                  /* owned; NULL until bind() */
+    Py_ssize_t now_off, pseq_off;   /* __slots__ offsets of sim.now and sim._packet_seq */
+    Pool *pool;                     /* owned */
+    PyObject *send;                 /* owned: the host's NIC Port, or a send callable */
+    PyObject *rcv_nxt, *delivered;  /* owned ledger columns */
+    Py_ssize_t slot;                /* this flow's ledger row */
+    PyObject *flow_id, *src, *dst;  /* owned: the ACK's header fields */
+    PyObject *ooo;                  /* owned dict: seq -> end of a buffered segment */
+    PyObject *on_data, *on_complete;
+    char has_expected, done, inc_echo;
+    long long expected_bytes;
+    long long data_packets_received, duplicate_packets_received;
+    long long ce_packets_received, reordered_packets;
+};
+
+static int
+ledger_get(PyObject *col, Py_ssize_t slot, long long *out)
+{
+    if ((size_t)slot >= (size_t)PyList_GET_SIZE(col)) {
+        PyErr_Format(PyExc_IndexError, "ledger slot %zd out of range", slot);
+        return -1;
+    }
+    *out = PyLong_AsLongLong(PyList_GET_ITEM(col, slot));
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int
+ledger_set(PyObject *col, Py_ssize_t slot, long long value)
+{
+    PyObject *boxed = PyLong_FromLongLong(value);
+    if (boxed == NULL)
+        return -1;
+    return PyList_SetItem(col, slot, boxed);  /* steals boxed */
+}
+
+/* An int key or value of the out-of-order dict as a C integer. */
+static inline int
+as_ll(PyObject *v, long long *out)
+{
+    *out = PyLong_AsLongLong(v);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* TcpReceiver._buffer: keep the longer of two segments at one seq. */
+static int
+receiver_buffer(PyObject *ooo, long long seq, long long end)
+{
+    PyObject *key = PyLong_FromLongLong(seq);
+    if (key == NULL)
+        return -1;
+    int rc = 0;
+    long long existing = 0;
+    PyObject *found = PyDict_GetItemWithError(ooo, key);
+    if (found == NULL && PyErr_Occurred())
+        rc = -1;
+    else if (found != NULL && as_ll(found, &existing) < 0)
+        rc = -1;
+    else if (found == NULL || existing < end) {
+        PyObject *value = PyLong_FromLongLong(end);
+        rc = value == NULL ? -1 : PyDict_SetItem(ooo, key, value);
+        Py_XDECREF(value);
+    }
+    Py_DECREF(key);
+    return rc;
+}
+
+/* One step of TcpReceiver._advance's pull loop: the segment buffered at
+ * *rcv_nxt, else the first (in dict order) that straddles it.  1 moved,
+ * 0 nothing to pull, -1 error. */
+static int
+receiver_pull(PyObject *ooo, long long *rcv_nxt)
+{
+    PyObject *key = PyLong_FromLongLong(*rcv_nxt);
+    if (key == NULL)
+        return -1;
+    PyObject *found = PyDict_GetItemWithError(ooo, key);
+    if (found != NULL) {
+        long long end;
+        int rc = as_ll(found, &end) < 0 ? -1 : PyDict_DelItem(ooo, key);
+        Py_DECREF(key);
+        if (rc < 0)
+            return -1;
+        if (end > *rcv_nxt)
+            *rcv_nxt = end;
+        return 1;
+    }
+    Py_DECREF(key);
+    if (PyErr_Occurred())
+        return -1;
+    /* A retransmission after a partial overlap can start below rcv_nxt
+     * but extend past it; scan for such a segment. */
+    Py_ssize_t pos = 0;
+    PyObject *k, *v;
+    while (PyDict_Next(ooo, &pos, &k, &v)) {
+        long long seq, end;
+        if (as_ll(k, &seq) < 0 || as_ll(v, &end) < 0)
+            return -1;
+        if (seq <= *rcv_nxt && *rcv_nxt < end) {
+            Py_INCREF(k);
+            int rc = PyDict_DelItem(ooo, k);
+            Py_DECREF(k);
+            if (rc < 0)
+                return -1;
+            *rcv_nxt = end;
+            return 1;
+        }
+    }
+    return 0;
+}
+
+/* Drop every buffered segment that ends at or below rcv_nxt. */
+static int
+receiver_purge(PyObject *ooo, long long rcv_nxt)
+{
+    PyObject *stale = PyList_New(0);
+    if (stale == NULL)
+        return -1;
+    Py_ssize_t pos = 0;
+    PyObject *k, *v;
+    int rc = 0;
+    while (rc == 0 && PyDict_Next(ooo, &pos, &k, &v)) {
+        long long end;
+        if (as_ll(v, &end) < 0)
+            rc = -1;
+        else if (end <= rcv_nxt)
+            rc = PyList_Append(stale, k);
+    }
+    for (Py_ssize_t i = 0; rc == 0 && i < PyList_GET_SIZE(stale); i++)
+        rc = PyDict_DelItem(ooo, PyList_GET_ITEM(stale, i));
+    Py_DECREF(stale);
+    return rc;
+}
+
+/* TcpReceiver._buffer(seq, end) then _advance(): reassemble, move the
+ * ledger's rcv_nxt and bytes_delivered, report new data to on_data. */
+static int
+receiver_reassemble(Receiver *r, long long seq, long long end)
+{
+    long long before;
+    if (ledger_get(r->rcv_nxt, r->slot, &before) < 0)
+        return -1;
+    long long rcv_nxt = before;
+    PyObject *ooo = r->ooo;
+    Py_INCREF(ooo);  /* on_data may rebind _ooo; this call keeps its dict */
+    if (PyDict_GET_SIZE(ooo) == 0 && seq <= rcv_nxt) {
+        /* In order into an empty buffer: the entry _buffer files is
+         * pulled straight back out, leaving the buffer empty. */
+        rcv_nxt = end;
+    } else {
+        if (receiver_buffer(ooo, seq, end) < 0)
+            goto error;
+        int moved;
+        while ((moved = receiver_pull(ooo, &rcv_nxt)) > 0)
+            ;
+        if (moved < 0)
+            goto error;
+    }
+    if (ledger_set(r->rcv_nxt, r->slot, rcv_nxt) < 0)
+        goto error;
+    long long delivered = rcv_nxt - before;
+    if (delivered > 0) {
+        long long total;
+        if (ledger_get(r->delivered, r->slot, &total) < 0 ||
+            ledger_set(r->delivered, r->slot, total + delivered) < 0)
+            goto error;
+        if (IS_SET(r->on_data)) {
+            PyObject *on_data = r->on_data;
+            Py_INCREF(on_data);
+            PyObject *res = PyObject_CallFunction(on_data, "L", delivered);
+            Py_DECREF(on_data);
+            if (res == NULL)
+                goto error;
+            Py_DECREF(res);
+        }
+    }
+    if (PyDict_GET_SIZE(ooo) > 0 && receiver_purge(ooo, rcv_nxt) < 0)
+        goto error;
+    Py_DECREF(ooo);
+    return 0;
+error:
+    Py_DECREF(ooo);
+    return -1;
+}
+
+/* sim.next_packet_id(): a new reference to the next id. */
+static PyObject *
+receiver_packet_id(Receiver *r)
+{
+    PyObject *owned;
+    PyObject *cur = field_get(r->sim, r->pseq_off, str_packet_seq, &owned);
+    if (cur == NULL)
+        return NULL;
+    long long id;
+    int rc = as_ll(cur, &id);
+    Py_XDECREF(owned);
+    if (rc < 0)
+        return NULL;
+    PyObject *next = PyLong_FromLongLong(id + 1);
+    if (next == NULL || field_set(r->sim, r->pseq_off, str_packet_seq, next) < 0) {
+        Py_XDECREF(next);
+        return NULL;
+    }
+    return next;
+}
+
+/* TcpReceiver._send_ack(ece): the cumulative ACK, carrying the one-shot
+ * INC echo, out through the host's NIC. */
+static int
+receiver_send_ack(Receiver *r, int ece, long long now)
+{
+    int inc = r->inc_echo;
+    r->inc_echo = 0;
+    if ((size_t)r->slot >= (size_t)PyList_GET_SIZE(r->rcv_nxt)) {
+        PyErr_Format(PyExc_IndexError, "ledger slot %zd out of range", r->slot);
+        return -1;
+    }
+    PyObject *ack_seq = PyList_GET_ITEM(r->rcv_nxt, r->slot);
+    Py_INCREF(ack_seq);
+    PyObject *packet_id = receiver_packet_id(r);
+    if (packet_id == NULL) {
+        Py_DECREF(ack_seq);
+        return -1;
+    }
+    Pool *pool = r->pool;
+    PyObject *vals[N_COLS] = {r->flow_id,    r->src,         r->dst,   long_zero,
+                              long_zero,     ack_seq,        pool->ack_wire, packet_id};
+    Py_ssize_t h = pool_alloc(pool, vals, F_ACK | (ece ? F_ECE : 0) | (inc ? F_INC : 0));
+    Py_DECREF(ack_seq);
+    Py_DECREF(packet_id);
+    if (h < 0)
+        return -1;
+    if (Py_TYPE(r->send) == &PortType) {
+        Port *port = (Port *)r->send;
+        if (port->core == NULL) {
+            PyErr_SetString(PyExc_RuntimeError, "port is detached from its event core");
+            return -1;
+        }
+        return port_send(port, h, now) < 0 ? -1 : 0;
+    }
+    return call_with_handle(r->send, h);
+}
+
+/* TcpReceiver.on_packet(h) with the immediate per-segment ACK policy. */
+static int
+receiver_deliver(Receiver *r, Py_ssize_t h, long long now)
+{
+    Pool *pool = r->pool;
+    if (r->sim == NULL || pool == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "receiver is not bound to a simulation");
+        return -1;
+    }
+    if (pool_check(pool, h) < 0)
+        return -1;
+    unsigned char flags = BYTES(pool->flags)[h];
+    if (flags & F_ACK)  /* stray ACK routed to the receiver side; ignore */
+        return pool_release(pool, h);
+    long long seq, len;
+    if (pool_get(pool, COL_SEQ, h, &seq) < 0 || pool_get(pool, COL_LEN, h, &len) < 0 ||
+        pool_release(pool, h) < 0)
+        return -1;
+    long long end = seq + len;
+
+    r->data_packets_received += 1;
+    if (flags & F_CE)
+        r->ce_packets_received += 1;
+    if (flags & F_INC)
+        r->inc_echo = 1;
+
+    long long before, after;
+    if (ledger_get(r->rcv_nxt, r->slot, &before) < 0)
+        return -1;
+    if (end <= before)
+        r->duplicate_packets_received += 1;
+    else if (receiver_reassemble(r, seq, end) < 0)
+        return -1;
+    if (ledger_get(r->rcv_nxt, r->slot, &after) < 0)
+        return -1;
+    if (after == before && end > before)
+        r->reordered_packets += 1;
+
+    if (receiver_send_ack(r, flags & F_CE, now) < 0)
+        return -1;
+
+    if (!r->done && r->has_expected) {
+        if (ledger_get(r->rcv_nxt, r->slot, &after) < 0)
+            return -1;
+        if (after >= r->expected_bytes) {
+            r->done = 1;
+            if (IS_SET(r->on_complete)) {
+                PyObject *on_complete = r->on_complete;
+                Py_INCREF(on_complete);
+                PyObject *res = PyObject_CallOneArg(on_complete, r->owner);
+                Py_DECREF(on_complete);
+                if (res == NULL)
+                    return -1;
+                Py_DECREF(res);
+            }
+        }
+    }
+    return 0;
+}
+
+static PyObject *
+Receiver_vectorcall(PyObject *op, PyObject *const *args, size_t nargsf, PyObject *kwnames)
+{
+    Receiver *r = (Receiver *)op;
+    if (PyVectorcall_NARGS(nargsf) != 1 || kwnames != NULL) {
+        PyErr_SetString(PyExc_TypeError, "on_packet expects one packet handle");
+        return NULL;
+    }
+    if (r->sim == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "receiver is not bound to a simulation");
+        return NULL;
+    }
+    Py_ssize_t h = PyLong_AsSsize_t(args[0]);
+    long long now;
+    if ((h == -1 && PyErr_Occurred()) || sim_now(r->sim, r->now_off, &now) < 0)
+        return NULL;
+    if (receiver_deliver(r, h, now) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* bind(sim, pool, send, rcv_nxt, bytes_delivered, slot, flow_id, src, dst) */
+static PyObject *
+Receiver_bind(Receiver *r, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 9 || Py_TYPE(args[1]) != &PoolType || !PyList_Check(args[3]) ||
+        !PyList_Check(args[4])) {
+        PyErr_SetString(PyExc_TypeError,
+                        "bind expects (sim, pool: Pool, send, rcv_nxt: list, "
+                        "bytes_delivered: list, slot, flow_id, src, dst)");
+        return NULL;
+    }
+    if (r->sim != NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "receiver is already bound");
+        return NULL;
+    }
+    Py_ssize_t slot = PyLong_AsSsize_t(args[5]);
+    if (slot == -1 && PyErr_Occurred())
+        return NULL;
+    r->slot = slot;
+    r->now_off = slot_offset(Py_TYPE(args[0]), str_now);
+    r->pseq_off = slot_offset(Py_TYPE(args[0]), str_packet_seq);
+    PyObject **fields[] = {&r->sim, (PyObject **)&r->pool, &r->send, &r->rcv_nxt,
+                           &r->delivered};
+    for (int i = 0; i < 5; i++) {
+        Py_INCREF(args[i]);
+        *fields[i] = args[i];
+    }
+    PyObject **ids[] = {&r->flow_id, &r->src, &r->dst};
+    for (int i = 0; i < 3; i++) {
+        Py_INCREF(args[6 + i]);
+        Py_XSETREF(*ids[i], args[6 + i]);
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Receiver_get_expected(Receiver *r, void *Py_UNUSED(c))
+{
+    return threshold_get(r->has_expected, r->expected_bytes);
+}
+
+static int
+Receiver_set_expected(Receiver *r, PyObject *v, void *Py_UNUSED(c))
+{
+    return threshold_set(v, &r->has_expected, &r->expected_bytes);
+}
+
+static PyObject *
+Receiver_get_ooo(Receiver *r, void *Py_UNUSED(c))
+{
+    if (r->ooo == NULL)
+        Py_RETURN_NONE;
+    Py_INCREF(r->ooo);
+    return r->ooo;
+}
+
+static int
+Receiver_set_ooo(Receiver *r, PyObject *v, void *Py_UNUSED(c))
+{
+    if (v == NULL || !PyDict_Check(v)) {
+        PyErr_SetString(PyExc_TypeError, "the out-of-order buffer must be a dict");
+        return -1;
+    }
+    Py_INCREF(v);
+    Py_XSETREF(r->ooo, v);
+    return 0;
+}
+
+static PyGetSetDef Receiver_getset[] = {
+    {"expected_bytes", (getter)Receiver_get_expected, (setter)Receiver_set_expected, NULL, NULL},
+    {"_ooo", (getter)Receiver_get_ooo, (setter)Receiver_set_ooo, NULL, NULL},
+    {NULL},
+};
+
+#define RECV_LL(name) {#name, T_LONGLONG, offsetof(Receiver, name), 0, NULL}
+
+static PyMemberDef Receiver_members[] = {
+    {"on_data", T_OBJECT, offsetof(Receiver, on_data), 0, NULL},
+    {"on_complete", T_OBJECT, offsetof(Receiver, on_complete), 0, NULL},
+    {"_done", T_BOOL, offsetof(Receiver, done), 0, NULL},
+    {"_inc_echo", T_BOOL, offsetof(Receiver, inc_echo), 0, NULL},
+    RECV_LL(data_packets_received),
+    RECV_LL(duplicate_packets_received),
+    RECV_LL(ce_packets_received),
+    RECV_LL(reordered_packets),
+    {NULL},
+};
+
+static PyMethodDef Receiver_methods[] = {
+    {"bind", (PyCFunction)(void (*)(void))Receiver_bind, METH_FASTCALL,
+     "bind(sim, pool, send, rcv_nxt, bytes_delivered, slot, flow_id, src, dst): "
+     "attach to the flow's ledger row, pool and NIC."},
+    {NULL, NULL, 0, NULL},
+};
+
+static int
+Receiver_traverse(Receiver *r, visitproc visit, void *arg)
+{
+    Py_VISIT(r->owner);
+    Py_VISIT(r->sim);
+    Py_VISIT(r->pool);
+    Py_VISIT(r->send);
+    Py_VISIT(r->rcv_nxt);
+    Py_VISIT(r->delivered);
+    Py_VISIT(r->flow_id);
+    Py_VISIT(r->src);
+    Py_VISIT(r->dst);
+    Py_VISIT(r->ooo);
+    Py_VISIT(r->on_data);
+    Py_VISIT(r->on_complete);
+    return 0;
+}
+
+static int
+Receiver_clear(Receiver *r)
+{
+    Py_CLEAR(r->owner);
+    Py_CLEAR(r->sim);
+    Py_CLEAR(r->pool);
+    Py_CLEAR(r->send);
+    Py_CLEAR(r->rcv_nxt);
+    Py_CLEAR(r->delivered);
+    Py_CLEAR(r->flow_id);
+    Py_CLEAR(r->src);
+    Py_CLEAR(r->dst);
+    Py_CLEAR(r->ooo);
+    Py_CLEAR(r->on_data);
+    Py_CLEAR(r->on_complete);
+    return 0;
+}
+
+static void
+Receiver_dealloc(Receiver *r)
+{
+    PyObject_GC_UnTrack(r);
+    Receiver_clear(r);
+    Py_TYPE(r)->tp_free((PyObject *)r);
+}
+
+static PyTypeObject ReceiverType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_evcore.Receiver",
+    .tp_basicsize = sizeof(Receiver),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "A TcpReceiver's segment handling, owned in C.  Calling it is the\\n"
+              "receiver's on_packet(h).  Made by EventCore.receiver().",
+    .tp_vectorcall_offset = offsetof(Receiver, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_dealloc = (destructor)Receiver_dealloc,
+    .tp_traverse = (traverseproc)Receiver_traverse,
+    .tp_clear = (inquiry)Receiver_clear,
+    .tp_free = PyObject_GC_Del,
+    .tp_methods = Receiver_methods,
+    .tp_members = Receiver_members,
+    .tp_getset = Receiver_getset,
 };
 
 /* run(sim, queue, until, limit, noop, freelist_max, evtype)
@@ -1322,17 +2211,14 @@ error:
     return NULL;
 }
 
-/* port(sim, flags, wire, pool_free): a new idle, empty Port on this core.
- * The caller fills in its queue and link parameters. */
+/* port(sim, pool): a new idle, empty Port on this core, moving handles
+ * of `pool` (an EventCore.pool()).  The caller fills in its queue and
+ * link parameters. */
 static PyObject *
 EventCore_port(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 4) {
-        PyErr_SetString(PyExc_TypeError, "port expects (sim, flags, wire, pool_free)");
-        return NULL;
-    }
-    if (!PyByteArray_Check(args[1]) || !PyList_Check(args[2])) {
-        PyErr_SetString(PyExc_TypeError, "port needs the pool's flags bytearray and wire list");
+    if (nargs != 2 || Py_TYPE(args[1]) != &PoolType) {
+        PyErr_SetString(PyExc_TypeError, "port expects (sim, pool: Pool)");
         return NULL;
     }
     Port *p = PyObject_GC_New(Port, &PortType);
@@ -1347,13 +2233,89 @@ EventCore_port(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
     p->sim = args[0];
     p->now_off = slot_offset(Py_TYPE(args[0]), str_now);
     Py_INCREF(args[1]);
-    p->flags = args[1];
-    Py_INCREF(args[2]);
-    p->wire = args[2];
-    Py_INCREF(args[3]);
-    p->pool_free = args[3];
+    p->pool = (Pool *)args[1];
     PyObject_GC_Track(p);
     return (PyObject *)p;
+}
+
+/* pool(reference, error, header_bytes, ack_bytes, unassigned_id): the
+ * handle lifecycle over a PacketPool's columns, freelist and counters;
+ * `error` is raised on a bad free. */
+static PyObject *
+EventCore_pool(EventCore *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5 || !PyExceptionClass_Check(args[1])) {
+        PyErr_SetString(PyExc_TypeError,
+                        "pool expects (reference, error, header_bytes, ack_bytes, unassigned_id)");
+        return NULL;
+    }
+    long long header = PyLong_AsLongLong(args[2]);
+    if (header == -1 && PyErr_Occurred())
+        return NULL;
+    Pool *p = PyObject_GC_New(Pool, &PoolType);
+    if (p == NULL)
+        return NULL;
+    memset((char *)p + sizeof(PyObject), 0, sizeof(Pool) - sizeof(PyObject));
+    PyObject *ref = args[0];
+    for (int i = 0; i < N_COLS; i++) {
+        p->cols[i] = PyObject_GetAttrString(ref, pool_columns[i]);
+        if (p->cols[i] == NULL || !PyList_Check(p->cols[i]))
+            goto bad_layout;
+    }
+    p->flags = PyObject_GetAttrString(ref, "flags");
+    p->live = PyObject_GetAttrString(ref, "live");
+    p->free = PyObject_GetAttrString(ref, "_free");
+    if (p->flags == NULL || p->live == NULL || p->free == NULL ||
+        !PyByteArray_Check(p->flags) || !PyByteArray_Check(p->live) || !PyList_Check(p->free))
+        goto bad_layout;
+    long long *counters[] = {&p->capacity, &p->allocated_total, &p->freed_total};
+    const char *names[] = {"capacity", "allocated_total", "freed_total"};
+    for (int i = 0; i < 3; i++) {
+        PyObject *v = PyObject_GetAttrString(ref, names[i]);
+        if (v == NULL)
+            goto error;
+        *counters[i] = PyLong_AsLongLong(v);
+        Py_DECREF(v);
+        if (*counters[i] == -1 && PyErr_Occurred())
+            goto error;
+    }
+    p->header_bytes = header;
+    Py_INCREF(args[1]);
+    p->error = args[1];
+    Py_INCREF(args[3]);
+    p->ack_wire = args[3];
+    Py_INCREF(args[4]);
+    p->unassigned = args[4];
+    PyObject_GC_Track(p);
+    return (PyObject *)p;
+bad_layout:
+    if (!PyErr_Occurred())
+        PyErr_SetString(PyExc_TypeError, "pool needs list columns, bytearray flags/live and a list freelist");
+error:
+    Py_DECREF(p);
+    return NULL;
+}
+
+/* receiver(owner): the C half of TcpReceiver `owner`, unbound (see
+ * Receiver.bind), with an empty out-of-order buffer. */
+static PyObject *
+EventCore_receiver(EventCore *self, PyObject *owner)
+{
+    Receiver *r = PyObject_GC_New(Receiver, &ReceiverType);
+    if (r == NULL)
+        return NULL;
+    memset((char *)r + sizeof(PyObject), 0, sizeof(Receiver) - sizeof(PyObject));
+    r->vectorcall = Receiver_vectorcall;
+    r->now_off = r->pseq_off = -1;
+    Py_INCREF(owner);
+    r->owner = owner;
+    r->ooo = PyDict_New();
+    if (r->ooo == NULL) {
+        Py_DECREF(r);
+        return NULL;
+    }
+    PyObject_GC_Track(r);
+    return (PyObject *)r;
 }
 
 /* demux(table, keys, fallback): a node's arrival demultiplexer. */
@@ -1389,9 +2351,13 @@ static PyMethodDef EventCore_methods[] = {
     {"run", (PyCFunction)(void (*)(void))EventCore_run, METH_FASTCALL,
      "Dispatch events until idle or a stop condition; returns count."},
     {"port", (PyCFunction)(void (*)(void))EventCore_port, METH_FASTCALL,
-     "port(sim, flags, wire, pool_free): a native output port on this core."},
+     "port(sim, pool): a native output port on this core."},
     {"demux", (PyCFunction)(void (*)(void))EventCore_demux, METH_FASTCALL,
      "demux(table, keys, fallback): a node's native arrival demultiplexer."},
+    {"pool", (PyCFunction)(void (*)(void))EventCore_pool, METH_FASTCALL,
+     "pool(reference, error, header_bytes, ack_bytes, unassigned_id): native pool ops."},
+    {"receiver", (PyCFunction)EventCore_receiver, METH_O,
+     "receiver(owner): the native half of a TcpReceiver, to be bound."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1404,7 +2370,8 @@ static PyTypeObject EventCoreType = {
     .tp_name = "_evcore.EventCore",
     .tp_basicsize = sizeof(EventCore),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Native light-event heap, fused dispatch loop and port factory.",
+    .tp_doc = "Native light-event heap, fused dispatch loop, and port, demux, pool and\n"
+              "receiver factory.",
     .tp_new = EventCore_new,
     .tp_dealloc = (destructor)EventCore_dealloc,
     .tp_traverse = (traverseproc)EventCore_traverse,
@@ -1443,13 +2410,16 @@ PyInit__evcore(void)
     INTERN(str_callback, "callback");
     INTERN(str_args, "args");
     INTERN(str_processed, "events_processed");
+    INTERN(str_packet_seq, "_packet_seq");
 #undef INTERN
     long_minus_one = PyLong_FromLong(-1);
+    long_zero = PyLong_FromLong(0);
     empty_tuple = PyTuple_New(0);
-    if (long_minus_one == NULL || empty_tuple == NULL)
+    if (long_minus_one == NULL || long_zero == NULL || empty_tuple == NULL)
         return NULL;
-    if (PyType_Ready(&EventCoreType) < 0 || PyType_Ready(&PortType) < 0 ||
-        PyType_Ready(&DemuxType) < 0)
+    if (PyType_Ready(&EventCoreType) < 0 || PyType_Ready(&PoolType) < 0 ||
+        PyType_Ready(&PortType) < 0 || PyType_Ready(&DemuxType) < 0 ||
+        PyType_Ready(&ReceiverType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&evcore_module);
     if (m == NULL)

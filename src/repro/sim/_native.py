@@ -2,9 +2,12 @@
 
 The native event core (see ``_evcore.c``) is a pure accelerator: it owns
 the light-event heap and the fused dispatch loop, with event ordering
-bit-for-bit identical to the pure-Python engine, and the ports that run
+bit-for-bit identical to the pure-Python engine; the ports that run
 the store-and-forward hop (``EventCore.port``, wrapped by
-:mod:`repro.net.port`) with arrivals demultiplexed in C.  Because this
+:mod:`repro.net.port`) with arrivals demultiplexed in C; the packet
+pool's alloc/free (``EventCore.pool``, wrapped by :mod:`repro.net.pool`);
+and the plain TCP receiver (``EventCore.receiver``, wrapped by
+:mod:`repro.tcp.receiver`).  Because this
 repo ships as source, the extension is compiled **on demand** with the
 host C toolchain the first time a :class:`~repro.sim.engine.Simulator`
 wants it, and cached at :func:`build_path` — ``_build/`` keyed by a hash
@@ -115,3 +118,19 @@ def status() -> str:
     if not _enabled():
         return f"disabled ({NATIVE_ENV})"
     return _status
+
+
+def through(owner: str, field: str) -> property:
+    """Attribute ``field`` of the native object held in slot ``owner``.
+
+    The Python views of native state (ports, queues, links, the packet
+    pool, receivers) install one per public attribute the C object owns.
+    """
+
+    def get(self):
+        return getattr(getattr(self, owner), field)
+
+    def set(self, value):
+        setattr(getattr(self, owner), field, value)
+
+    return property(get, set)

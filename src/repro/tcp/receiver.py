@@ -14,12 +14,23 @@ Storage layout mirrors the sender: the per-segment counters (``rcv_nxt``,
 keeps a slot plus compatibility properties.  ``on_packet`` consumes a
 pooled handle, reads the columns it needs, and frees the handle before
 doing any protocol work; ACKs are allocated straight from the pool.
+
+There are two implementations with one behaviour.  :class:`TcpReceiver`
+is the Python reference: it runs on the pure engine, and its subclasses
+(:class:`~repro.tcp.delack.DelayedAckReceiver`) always use it.  Under the
+native event core, ``TcpReceiver(...)`` itself builds a
+:class:`_NativeReceiver`, whose ``on_packet`` is a C receiver
+(``_evcore.Receiver``) doing all of the above — the same reorder-buffer
+dict, ledger columns, CE/INC echo and pool — so the host's demux hands it
+segments without entering Python.  Python is re-entered only for
+``on_data`` and ``on_complete``; the public counters read through to C.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
+from ..sim._native import through
 from ..sim.engine import Simulator
 from ..net.host import Host
 from ..net.pool import F_ACK, F_CE, F_INC, PacketPool
@@ -53,6 +64,11 @@ class TcpReceiver:
 
     rcv_nxt = ledger_field("rcv_nxt")
     bytes_delivered = ledger_field("bytes_delivered")
+
+    def __new__(cls, sim: Simulator, *args, **kwargs):
+        if cls is TcpReceiver and sim._core is not None:
+            cls = _NativeReceiver
+        return object.__new__(cls)
 
     def __init__(
         self,
@@ -232,3 +248,50 @@ class TcpReceiver:
         if not self.closed:
             self.host.unregister_flow(self.flow_id)
             self.closed = True
+
+
+class _NativeReceiver(TcpReceiver):
+    """A :class:`TcpReceiver` whose segment handling runs in the native core.
+
+    ``on_packet`` is the C receiver (``_evcore.Receiver``) itself, so the
+    host's demux hands it segments without entering Python; the state and
+    counters below read through to it, and ``rcv_nxt``/``bytes_delivered``
+    stay in the ledger, which it updates in place.
+    """
+
+    __slots__ = ("on_packet",)
+
+    def __init__(self, sim: Simulator, host: Host, peer_node_id: int, flow_id: int, *args, **kw):
+        # The C half exists before the base constructor writes the state
+        # that reads through to it, and is bound once the flow's ledger
+        # row, pool and NIC are known.
+        self.on_packet = sim._core.receiver(self)
+        super().__init__(sim, host, peer_node_id, flow_id, *args, **kw)
+        fl = self._fl
+        self.on_packet.bind(
+            sim,
+            self._pool._ops,
+            self._host_send,
+            fl.rcv_nxt,
+            fl.bytes_delivered,
+            self._slot,
+            flow_id,
+            host.node_id,
+            peer_node_id,
+        )
+
+
+for _field in (
+    "expected_bytes",
+    "on_data",
+    "on_complete",
+    "_ooo",
+    "_done",
+    "_inc_echo",
+    "data_packets_received",
+    "duplicate_packets_received",
+    "ce_packets_received",
+    "reordered_packets",
+):
+    setattr(_NativeReceiver, _field, through("on_packet", _field))
+del _field

@@ -13,7 +13,15 @@ from typing import Optional
 class RttEstimator:
     """SRTT/RTTVAR tracker producing RFC 6298 RTO values (integer ns)."""
 
-    __slots__ = ("srtt_ns", "rttvar_ns", "rto_min_ns", "rto_max_ns", "rto_initial_ns", "samples")
+    __slots__ = (
+        "srtt_ns",
+        "rttvar_ns",
+        "rto_min_ns",
+        "rto_max_ns",
+        "rto_initial_ns",
+        "samples",
+        "rto_ns",
+    )
 
     #: RFC 6298 gains: alpha = 1/8, beta = 1/4.
     ALPHA = 0.125
@@ -29,12 +37,17 @@ class RttEstimator:
         rto_initial_ns: int,
         seed_rtt_ns: Optional[int] = None,
     ):
+        if rto_max_ns < rto_min_ns:
+            raise ValueError(f"rto_max_ns {rto_max_ns} is below rto_min_ns {rto_min_ns}")
         self.rto_min_ns = rto_min_ns
         self.rto_max_ns = rto_max_ns
         self.rto_initial_ns = rto_initial_ns
         self.srtt_ns: Optional[float] = None
         self.rttvar_ns: float = 0.0
         self.samples = 0
+        #: Current RTO (before exponential backoff), clamped to the bounds;
+        #: kept up to date by every sample, so reading it costs nothing.
+        self.rto_ns = max(rto_min_ns, min(rto_max_ns, rto_initial_ns))
         if seed_rtt_ns is not None:
             self.add_sample(seed_rtt_ns)
 
@@ -50,17 +63,11 @@ class RttEstimator:
             self.rttvar_ns = (1 - self.BETA) * self.rttvar_ns + self.BETA * err
             self.srtt_ns = (1 - self.ALPHA) * self.srtt_ns + self.ALPHA * rtt_ns
         self.samples += 1
-
-    @property
-    def rto_ns(self) -> int:
-        """Current RTO (before exponential backoff), clamped to the bounds."""
-        if self.srtt_ns is None:
-            base = self.rto_initial_ns
-        else:
-            base = int(self.srtt_ns + self.K * self.rttvar_ns)
-        return max(self.rto_min_ns, min(self.rto_max_ns, base))
+        base = int(self.srtt_ns + self.K * self.rttvar_ns)
+        self.rto_ns = max(self.rto_min_ns, min(self.rto_max_ns, base))
 
     def backed_off_rto_ns(self, backoff_exponent: int) -> int:
         """RTO after ``backoff_exponent`` consecutive expirations."""
-        rto = self.rto_ns << max(0, backoff_exponent)
-        return min(self.rto_max_ns, rto)
+        if backoff_exponent <= 0:
+            return self.rto_ns
+        return min(self.rto_max_ns, self.rto_ns << backoff_exponent)

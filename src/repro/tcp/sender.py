@@ -114,6 +114,8 @@ class TcpSender:
         self.rto_backoff = 0
         self._rto_event = None
         self._acks_since_timer_armed = 0
+        #: the queue's reschedule, bound once: the timer re-arms on every ACK
+        self._reschedule = sim.queue.reschedule
 
         #: first-transmission times for outstanding segments (Karn-clean)
         self._segment_send_time: Dict[int, int] = {}
@@ -472,9 +474,12 @@ class TcpSender:
     # ----------------------------------------------------------------- RTO timer
     def _arm_timer(self) -> None:
         # Re-armed on every ACK; reschedule-in-place keeps this O(1) with no
-        # heap traffic instead of pushing a fresh entry per ACK.
-        duration = self.rtt.backed_off_rto_ns(self.rto_backoff)
-        self._rto_event = self.sim.reschedule(self._rto_event, duration, self._on_rto)
+        # heap traffic instead of pushing a fresh entry per ACK.  The RTO is
+        # the estimator's stored value unless the timer is backed off.
+        rtt = self.rtt
+        backoff = self.rto_backoff
+        duration = rtt.rto_ns if backoff == 0 else rtt.backed_off_rto_ns(backoff)
+        self._rto_event = self._reschedule(self._rto_event, self.sim.now + duration, self._on_rto)
         self._acks_since_timer_armed = 0
 
     def _stop_timer(self) -> None:

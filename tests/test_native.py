@@ -240,14 +240,17 @@ def test_native_request_stop_then_resume_drains_the_rest():
 
 @requires_native
 def test_finished_native_simulation_is_collected():
-    """The C core, ports and demuxes are GC-tracked: pending light events
-    hold ports and bound methods of components that point back at the
-    Simulator, and those cycles must not keep a finished simulation alive —
-    not even one stopped with packets still queued and on the wire."""
+    """The C core, pool, ports, demuxes and receivers are GC-tracked:
+    pending light events hold ports and bound methods of components that
+    point back at the Simulator, receivers hold their Python half and its
+    callbacks, and those cycles must not keep a finished simulation alive —
+    not even one stopped with packets still queued and on the wire and a
+    receiver holding out-of-order segments."""
     import gc
 
     from repro.exec.scenario import ScenarioSpec, run_scenario
     from repro.net.topology import topology_builder
+    from repro.tcp.receiver import TcpReceiver
     from repro.workloads.incast import IncastWorkload
 
     def live():
@@ -269,6 +272,65 @@ def test_finished_native_simulation_is_collected():
     sim.run(max_events=5_000)
     port = tree.bottleneck_port
     assert len(port.queue) > 0 and port._busy  # stopped mid-burst
-    del sim, tree, workload, port
+    flow, peer, server = 10**6, tree.aggregator.node_id, tree.servers[0]
+    receiver = TcpReceiver(
+        sim,
+        server,
+        peer,
+        flow,
+        expected_bytes=10**6,
+        on_data=lambda n: sim.request_stop(),
+        on_complete=lambda r: sim.request_stop(),
+    )
+    pool = sim.pool
+    for seq in (2920, 5840):  # two segments past a hole
+        receiver.on_packet(pool.alloc_data(flow, peer, server.node_id, seq, 1460, True, False, 0))
+    assert type(receiver.on_packet).__name__ == "Receiver" and len(receiver._ooo) == 2
+    del sim, tree, workload, port, server, receiver, pool
     gc.collect()
     assert not live() - before
+
+
+@requires_native
+def test_native_incast_runs_no_python_receiver_frames(monkeypatch):
+    """Under the native core a plain receiver's segments never enter the
+    Python receiver, and the incast's results are the pure engine's."""
+    import sys
+
+    from repro.exec.scenario import ScenarioSpec
+    from repro.net.topology import topology_builder
+    from repro.tcp.receiver import TcpReceiver
+    from repro.workloads.incast import IncastWorkload
+
+    spec = ScenarioSpec.create("dctcp", 32, rounds=3, seed=1)
+
+    def run():
+        sim = Simulator(seed=spec.seed)
+        tree = topology_builder(spec.topology)(sim, spec.topology_params())
+        workload = IncastWorkload(sim, tree, spec.protocol_spec(), spec.incast_config())
+        workload.run_to_completion(max_events=spec.max_events)
+        return sim, workload.rounds
+
+    watched = {
+        getattr(TcpReceiver, name).__code__: name
+        for name in ("on_packet", "_buffer", "_advance", "_ack_policy", "_send_ack")
+    }
+    calls = {name: 0 for name in watched.values()}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        sim, native_rounds = run()
+    finally:
+        sys.setprofile(None)
+    assert sim.native
+    assert calls == {name: 0 for name in watched.values()}
+
+    monkeypatch.setenv(_native.NATIVE_ENV, "0")
+    sim, pure_rounds = run()
+    assert not sim.native
+    assert len(native_rounds) == 3
+    assert native_rounds == pure_rounds

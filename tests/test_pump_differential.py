@@ -1,14 +1,21 @@
-"""The native port pump against the pure-Python reference pump.
+"""The native port pump, packet pool and receiver against the Python
+references.
 
 Under the native core an ``OutputPort`` over a plain ``DropTailQueue`` is
-a C port that owns the queue, the transmitter and the link, and arrivals
-at switches and hosts are demultiplexed in C.  On the pure engine (what
-``REPRO_NATIVE=0`` selects) the same topology runs the Python pump.  Both
-must be indistinguishable from outside:
+a C port that owns the queue, the transmitter and the link, arrivals at
+switches and hosts are demultiplexed in C, the packet pool allocates and
+frees in C, and a plain ``TcpReceiver`` handles its segments in C.  On
+the pure engine (what ``REPRO_NATIVE=0`` selects) the same topology runs
+the Python pump, pool and receiver.  Both must be indistinguishable from
+outside:
 
 - a hypothesis differential drives random small topologies and packet
   programs through both and compares delivery logs, every queue, port and
-  link counter, hook call sequences and packet-pool conservation;
+  link counter, hook call sequences and packet-pool conservation.  Some
+  flows end at ``TcpReceiver`` endpoints fed reordered, duplicate,
+  overlapping, CE/INC-marked and stray-ACK segments, with callbacks,
+  ``expect()``/``close()`` mid-run and pool growth; their ACK streams,
+  counters, ledger columns and reassembly buffers are compared too;
 - an incast parity test checks the counters of a full Pulser run and that
   hooks installed *after* the ports were built still fire natively.
 
@@ -28,10 +35,12 @@ from repro.net.faults import drop_nth, make_lossy
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.node import Node
-from repro.net.pool import PacketPool
+from repro.net.pool import F_CE, F_INC, PacketPool, PoolError
 from repro.net.switch import Switch
 from repro.sim import _native
 from repro.sim.engine import Simulator
+from repro.tcp.delack import DelayedAckReceiver
+from repro.tcp.receiver import TcpReceiver
 
 pytestmark = pytest.mark.skipif(
     _native.core_factory() is None,
@@ -53,6 +62,24 @@ QUEUE_COUNTERS = (
     "inc_marked_packets",
 )
 LINK_COUNTERS = ("rate_bps", "prop_delay_ns", "delivered_packets", "delivered_bytes")
+RECEIVER_STATE = (
+    "data_packets_received",
+    "duplicate_packets_received",
+    "ce_packets_received",
+    "reordered_packets",
+    "rcv_nxt",
+    "bytes_delivered",
+    "expected_bytes",
+    "complete",
+    "closed",
+    "_inc_echo",
+)
+#: Receiver-flow segments start on multiples of this, so segments of the
+#: drawn payload sizes duplicate and partially overlap each other.
+SEQ_STEP = 730
+#: Packet kinds: plain, CE-marked, INC-marked, both, or a stray ACK.
+PLAIN, CE, INC, CE_INC, STRAY_ACK = range(5)
+MARKS = {PLAIN: 0, CE: F_CE, INC: F_INC, CE_INC: F_CE | F_INC}
 
 
 class Sink(Node):
@@ -82,7 +109,18 @@ class Recorder:
 
     def on_packet(self, h):
         pool = self.sim.pool
-        self.log.append((self.name, self.sim.now, h, pool.flow_id[h], pool.seq[h], pool.flags[h]))
+        self.log.append(
+            (
+                self.name,
+                self.sim.now,
+                h,
+                pool.flow_id[h],
+                pool.seq[h],
+                pool.flags[h],
+                pool.ack_seq[h],
+                pool.packet_id[h],
+            )
+        )
         pool.free(h)
 
 
@@ -98,15 +136,25 @@ class Program:
     ecn_threshold: Optional[int]
     rates: Tuple[int, ...]  # access, trunk (bps)
     prop_ns: int
-    packets: Tuple[Tuple[int, int, int, int, bool], ...]  # t, src, dst, payload, ect
+    # t, src, dst, payload, ect, seq step (receiver flows), kind
+    packets: Tuple[Tuple[int, int, int, int, bool, int, int], ...]
     inc_at: Optional[Tuple[int, int, int]]  # t, port index, threshold
     hooks_at: Optional[Tuple[int, int]]  # t, port index
     splice_at: Optional[Tuple[int, int, Tuple[int, ...]]]  # t, port index, drops
     stop_at: int
+    tcp_sources: int  # bit i: flows from host i end at a TcpReceiver
+    expected: Optional[int]  # the receivers' initial expected_bytes
+    rearm: bool  # on_complete asks for more (a persistent connection)
+    expect_at: Optional[Tuple[int, int, int]]  # t, receiver index, bytes
+    close_at: Optional[Tuple[int, int]]  # t, receiver index
+    ballast_at: Optional[Tuple[int, int]]  # t, hold ns: take every free handle
 
 
 @st.composite
-def programs(draw) -> Program:
+def programs(draw, receivers_only: bool = False) -> Program:
+    """A random program; ``receivers_only`` aims every packet at a host and
+    ends every flow between two hosts at a ``TcpReceiver``, with segments
+    packed closely enough to overlap, cover and strand each other."""
     n_switches = draw(st.integers(1, 2))
     n_hosts = draw(st.integers(2, 4))
     # Destinations: a host index, n_hosts = the sink, n_hosts + 1 = an
@@ -114,10 +162,14 @@ def programs(draw) -> Program:
     packet = st.tuples(
         st.integers(0, 400_000),
         st.integers(0, n_hosts - 1),
-        st.integers(0, n_hosts + 2),
+        st.integers(0, n_hosts - 1 if receivers_only else n_hosts + 2),
         st.sampled_from([0, 40, 536, 1460, 1460, 1460]),
         st.booleans(),
+        st.integers(0, 6 if receivers_only else 12),
+        st.sampled_from([PLAIN, PLAIN, PLAIN, CE, INC, CE_INC, STRAY_ACK]),
     )
+    # Receiver flows need a few segments each to reorder and overlap.
+    min_packets = 8 if receivers_only else 1
     t_events = st.integers(0, 500_000)
     # Occupancies are sums of wire sizes, so thresholds on those sums probe
     # the strict `occupancy > threshold` comparisons at their boundary.
@@ -135,11 +187,17 @@ def programs(draw) -> Program:
             draw(st.sampled_from([10**9, 4 * 10**8])),
         ),
         prop_ns=draw(st.sampled_from([0, 1_000, 12_000])),
-        packets=tuple(sorted(draw(st.lists(packet, min_size=1, max_size=60)))),
+        packets=tuple(sorted(draw(st.lists(packet, min_size=min_packets, max_size=60)))),
         inc_at=draw(st.none() | st.tuples(t_events, st.integers(0, 20), thresholds)),
         hooks_at=draw(st.none() | st.tuples(t_events, st.integers(0, 20))),
         splice_at=draw(st.none() | st.tuples(t_events, st.integers(0, 20), drops)),
         stop_at=draw(st.integers(0, 600_000)),
+        tcp_sources=15 if receivers_only else draw(st.integers(0, 15)),
+        expected=draw(st.none() | st.sampled_from([0, 1460, 2920, 5000])),
+        rearm=draw(st.booleans()),
+        expect_at=draw(st.none() | st.tuples(t_events, st.integers(0, 20), st.integers(1, 3000))),
+        close_at=draw(st.none() | st.tuples(t_events, st.integers(0, 20))),
+        ballast_at=draw(st.none() | st.tuples(t_events, st.integers(0, 200_000))),
     )
 
 
@@ -180,24 +238,86 @@ def simulate(prog: Program, native: bool):
     ports = [h.nic for h in hosts] + [p for sw in switches for p in sw.ports]
     links = [p.link for p in ports]
 
+    def is_tcp(src, dst):
+        return src != dst and prog.tcp_sources >> src & 1
+
+    def on_complete_of(name):
+        def on_complete(receiver):
+            log.append(("complete", name, sim.now, receiver.rcv_nxt))
+            if prog.rearm:
+                receiver.expect(1460)
+
+        return on_complete
+
+    # Receiver flows: a TcpReceiver on the destination, and a recorder for
+    # its ACKs under the same flow id on the source.
     registered = set()
-    for t, src, dst, _, _ in prog.packets:
+    receivers: List[TcpReceiver] = []
+    for t, src, dst, *_rest in prog.packets:
         if dst < prog.n_hosts and (src, dst) not in registered:
             registered.add((src, dst))
-            hosts[dst].register_flow(1000 + 10 * src + dst, Recorder(sim, f"h{dst}", log))
+            flow = 1000 + 10 * src + dst
+            if is_tcp(src, dst):
+                name = f"r{src}{dst}"
+                receivers.append(
+                    TcpReceiver(
+                        sim,
+                        hosts[dst],
+                        hosts[src].node_id,
+                        flow,
+                        expected_bytes=prog.expected,
+                        on_data=lambda n, name=name: log.append(("data", name, sim.now, n)),
+                        on_complete=on_complete_of(name),
+                    )
+                )
+                hosts[src].register_flow(flow, Recorder(sim, f"ack{src}{dst}", log))
+            else:
+                hosts[dst].register_flow(flow, Recorder(sim, f"h{dst}", log))
 
     def inject(i):
-        t, src, dst, payload, ect = prog.packets[i]
+        t, src, dst, payload, ect, step, kind = prog.packets[i]
+        seq = i
         if dst < prog.n_hosts:
             addr, flow = hosts[dst].node_id, 1000 + 10 * src + dst
+            if is_tcp(src, dst):
+                seq = step * SEQ_STEP
         elif dst == prog.n_hosts:
             addr, flow = sink.node_id, 1
         elif dst == prog.n_hosts + 1:
             addr, flow = 10**9, 2
         else:
             addr, flow = hosts[(src + 1) % prog.n_hosts].node_id, 3
-        h = pool.alloc_data(flow, hosts[src].node_id, addr, i, payload, ect, False, i)
+        if kind == STRAY_ACK:
+            h = pool.alloc_ack(flow, hosts[src].node_id, addr, seq, False, False, i)
+        else:
+            h = pool.alloc_data(flow, hosts[src].node_id, addr, seq, payload, ect, False, i)
+            pool.flags[h] |= MARKS[kind]
         log.append(("sent", sim.now, i, hosts[src].send(h)))
+
+    if receivers and prog.expect_at is not None:
+        t, k, extra = prog.expect_at
+        sim.schedule(t, receivers[k % len(receivers)].expect, extra)
+
+    if receivers and prog.close_at is not None:
+        t, k = prog.close_at
+        sim.schedule(t, receivers[k % len(receivers)].close)
+
+    if prog.ballast_at is not None:
+        # Empty the freelist, so the next allocation (often a receiver's
+        # ACK) grows the pool mid-run; give the handles back later.
+        t, hold = prog.ballast_at
+        held = []
+
+        def take():
+            while pool._free:
+                held.append(pool.alloc_control(0, 0, 0, 64, -2))
+
+        def give_back():
+            for h in held:
+                pool.free(h)
+
+        sim.schedule(t, take)
+        sim.schedule(t + hold, give_back)
 
     if prog.inc_at is not None:
         t, k, threshold = prog.inc_at
@@ -254,12 +374,34 @@ def simulate(prog: Program, native: bool):
             out[node.name] = node.unroutable_drops
         for node in hosts:
             out[node.name] = node.undeliverable_packets
-        out["pool"] = (pool.allocated_total, pool.freed_total, pool.live_count)
+        for receiver in receivers:
+            state = tuple(getattr(receiver, f) for f in RECEIVER_STATE)
+            out[f"r{receiver.flow_id}"] = state + (list(receiver._ooo.items()),)
+        flows = sim.flows
+        if flows is not None:
+            out["ledger"] = (list(flows.rcv_nxt), list(flows.bytes_delivered))
+        out["pool"] = (
+            pool.allocated_total,
+            pool.freed_total,
+            pool.live_count,
+            pool.capacity,
+            list(pool._free),
+            bytes(pool.live),
+        )
         out["log"] = list(log)
         return out
 
     mid = (sim.run(until=prog.stop_at), observe())
     end = (sim.run_until_idle(), observe())
+    # A stale handle is refused, and refusing it changes nothing.
+    stale = pool.alloc_control(0, 0, 0, 64, -3)
+    pool.free(stale)
+    try:
+        pool.free(stale)
+        refused = None
+    except PoolError as exc:
+        refused = str(exc)
+    end[1]["stale_free"] = (refused, pool.freed_total, len(pool._free))
     return mid, end
 
 
@@ -270,11 +412,25 @@ def simulate(prog: Program, native: bool):
 )
 @given(prog=programs())
 def test_native_pump_matches_pure_reference(prog):
+    check_native_matches_pure(prog)
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(prog=programs(receivers_only=True))
+def test_native_receiver_matches_pure_reference(prog):
+    check_native_matches_pure(prog)
+
+
+def check_native_matches_pure(prog):
     (n_mid, n_end), (p_mid, p_end) = simulate(prog, True), simulate(prog, False)
     assert n_mid == p_mid
     assert n_end == p_end
     # Every packet ended somewhere: delivered, dropped, or refused.
-    allocated, freed, live = n_end[1]["pool"]
+    allocated, freed, live = n_end[1]["pool"][:3]
     assert live == 0 and allocated == freed
 
 
@@ -286,6 +442,61 @@ def test_program_exercises_native_ports():
     assert type(host.nic.send).__name__ == "Port"
     assert type(host.nic.link).__name__ == "_PortLink"
     assert type(host.nic.queue).__name__ == "_PortQueue"
+    assert type(sim.pool).__name__ == "_NativePool"
+    assert type(sim.pool.free).__qualname__ == "builtin_function_or_method"
+    receiver = TcpReceiver(sim, host, 99, 1)
+    assert type(receiver).__name__ == "_NativeReceiver"
+    assert type(receiver.on_packet).__name__ == "Receiver"
+    assert host._dispatch[1] is receiver.on_packet
+
+
+def test_delayed_ack_receiver_stays_python_under_the_native_core():
+    sim = Simulator(validate=False, native=True)
+    host, sw = Host(sim, "h"), Switch(sim, "s")
+    host.attach_link(Link(sw))
+    receiver = DelayedAckReceiver(sim, host, 99, 1)
+    assert type(receiver) is DelayedAckReceiver
+    assert host._dispatch[1] == receiver.on_packet  # the Python bound method
+
+
+def test_native_pool_lifecycle_matches_python_pool():
+    """LIFO reuse, growth by in-place doubling, the totals and the
+    double-free error: the C pool and the Python pool, call for call."""
+    results = []
+    for native in (True, False):
+        pool = PacketPool.of(Simulator(validate=False, native=native))
+        flags, wire = pool.flags, pool.wire_bytes
+        trace = []
+        handles = [pool.alloc_data(1, 2, 3, i, 1460, i % 3, i % 2, i) for i in range(300)]
+        for h in handles[::3]:
+            pool.free(h)
+        handles += [pool.alloc_ack(4, 5, 6, 7, True, False, 8) for _ in range(150)]
+        handles.append(pool.alloc_control(flow_id=9, src=1, dst=2, wire_bytes=77, packet_id=3))
+        pool.free(handles[-1])
+        with pytest.raises(PoolError, match="double free") as exc:
+            pool.free(handles[-1])
+        trace.append(str(exc.value))
+        with pytest.raises(TypeError):
+            pool.alloc_control(1, 2, 3, 4)
+        assert pool.flags is flags and pool.wire_bytes is wire
+        columns = [list(getattr(pool, c)) for c in ("flow_id", "seq", "payload_len", "ack_seq")]
+        results.append(
+            (
+                handles,
+                trace,
+                columns,
+                list(pool.wire_bytes),
+                list(pool.packet_id),
+                bytes(pool.flags),
+                bytes(pool.live),
+                list(pool._free),
+                pool.capacity,
+                pool.allocated_total,
+                pool.freed_total,
+            )
+        )
+    assert results[0] == results[1]
+    assert results[0][8] == 512  # grew by doubling
 
 
 def test_queue_methods_on_a_port_owned_queue():

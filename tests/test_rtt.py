@@ -85,3 +85,39 @@ class TestBackoff:
     def test_negative_exponent_treated_as_zero(self):
         est = make(seed=100 * US)
         assert est.backed_off_rto_ns(-3) == est.rto_ns
+
+
+def test_rejects_max_below_min():
+    with pytest.raises(ValueError):
+        make(rto_min=2 * SEC, rto_max=1 * SEC)
+
+
+class TestStoredRto:
+    """The RTO is stored, not recomputed per read; it must always equal the
+    RFC 6298 formula over the current estimator state."""
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=20 * SEC), max_size=40),
+        st.integers(min_value=0, max_value=50 * MS),
+        st.integers(min_value=0, max_value=30 * SEC),
+        st.integers(min_value=1, max_value=10 * SEC),
+        st.integers(min_value=-2, max_value=40),
+    )
+    def test_stored_rto_matches_formula(self, samples, rto_min, span, initial, backoff):
+        rto_max = rto_min + span
+        est = make(rto_min=rto_min, rto_max=rto_max, initial=initial)
+
+        def expected_rto():
+            if est.srtt_ns is None:
+                base = initial
+            else:
+                base = int(est.srtt_ns + RttEstimator.K * est.rttvar_ns)
+            return max(rto_min, min(rto_max, base))
+
+        assert est.rto_ns == expected_rto()
+        for sample in samples:
+            est.add_sample(sample)
+            rto = expected_rto()
+            assert est.rto_ns == rto
+            assert est.backed_off_rto_ns(0) == rto
+            assert est.backed_off_rto_ns(backoff) == min(rto_max, rto << max(0, backoff))
